@@ -12,7 +12,6 @@ from singk3 import (
     genus_characters,
     genus_partition,
     principal_form,
-    squares_subgroup,
 )
 
 # Discriminant -23: the smallest discriminant with class number 3.
@@ -28,7 +27,7 @@ print(f"({gen})^3        = ({gen ** 3})   <- the principal form")
 print()
 
 # All three classes are squares, so there is a single genus.
-print("squares subgroup:", sorted(str(f) for f in squares_subgroup(G)))
+print("squares subgroup:", sorted(str(f) for f in genus_partition(G).principal_genus))
 print("genera:", [sorted(map(str, c)) for c in genus_partition(G).cosets])
 print()
 

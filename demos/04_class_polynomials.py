@@ -11,10 +11,10 @@ from mpmath import mp
 from singk3 import (
     Form,
     class_group,
+    class_number,
     class_polynomial,
     j_of_form,
     recognize_rational,
-    ring_class_degree,
 )
 
 # Rational CM points first.  Both normalizations travel together:
@@ -30,10 +30,10 @@ print("recognized j_n(2i) =", recognize_rational(jv.j_normalized, 2**64, 400))
 print()
 
 # Class polynomials.  Degree = class number = degree of the ring class field.
+# class_polynomial returns only certified results and raises otherwise.
 for d in (-4, -16, -23, -64, -71):
     poly = class_polynomial(d)
-    print(f"d = {d}: degree {poly.degree} (= [H(O):K] = {ring_class_degree(d)}), "
-          f"certified = {poly.certified}")
+    print(f"d = {d}: degree {poly.degree} (= [H(O):K] = h(d) = {class_number(d)})")
     print("   coefficients (constant first):", list(poly.coefficients))
 print()
 

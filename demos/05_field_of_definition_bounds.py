@@ -25,7 +25,7 @@ def show(q: Form) -> None:
     print(f"Q = ({q}):  d = {sc.discriminant} = {sc.content}^2*({sc.primitive_discriminant}), "
           f"K = Q(sqrt({sc.field_discriminant}))")
     orbit = sorted(str(f) for f in genus_of_transcendental_lattice(q))
-    print(f"  Galois orbit of T_X ({r.genus_size} classes): {orbit}")
+    print(f"  Galois orbit of T_X ({r.classes_per_genus} classes): {orbit}")
     print(f"  degree over K: multiple of {r.classes_per_genus}, divisor of {r.class_number_upper}")
     print(f"  degree over Q forced even: {r.parity_forced}")
     if r.exact_minimal_field:

@@ -4,12 +4,12 @@ Cl(d) is enumerated as the set of reduced primitive forms of discriminant d
 via the bound |b| <= a <= sqrt(|d|/3).  The abelian group structure is found
 by direct composition (groups here are tiny), the genus partition as cosets
 of the subgroup of squares, with classical assigned characters kept as an
-independent cross-check.
+independent cross-check.  One class per genus is decided without composing:
+every reduced form must lie on the reduction boundary.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
@@ -128,15 +128,12 @@ def class_number(d: int) -> int:
     return class_group(d).order
 
 
-@lru_cache(maxsize=None)
-def squares_subgroup(group: ClassGroup) -> frozenset[Form]:
-    """The subgroup Cl^2(d) = {F*F : F in Cl(d)} (the principal genus)."""
-    return frozenset(compose(f, f) for f in group.elements)
-
-
 @dataclass(frozen=True)
 class GenusPartition:
-    """Partition of Cl(d) into genera = cosets of the subgroup of squares."""
+    """Partition of Cl(d) into genera = cosets of the subgroup of squares.
+
+    principal_genus is that subgroup, Cl^2(d) = {F*F : F in Cl(d)}.
+    """
 
     cosets: tuple[frozenset[Form], ...]
     principal_genus: frozenset[Form]
@@ -154,7 +151,7 @@ class GenusPartition:
 
 @lru_cache(maxsize=None)
 def genus_partition(group: ClassGroup) -> GenusPartition:
-    squares = squares_subgroup(group)
+    squares = frozenset(compose(f, f) for f in group.elements)
     cosets = []
     assigned: set[Form] = set()
     for f in group.elements:  # elements are sorted, so cosets come out ordered
@@ -169,8 +166,13 @@ def genus_partition(group: ClassGroup) -> GenusPartition:
 
 
 def classes_per_genus(d: int) -> int:
-    """n = h/g =  #Cl^2(d)."""
-    return len(squares_subgroup(class_group(d)))
+    """n = h/g = #Cl^2(d)."""
+    return len(genus_partition(class_group(d)).principal_genus)
+
+
+def _on_boundary(f: Form) -> bool:
+    # a reduced form is 2-torsion iff one reduction inequality is an equality
+    return f.b == 0 or f.a == f.b or f.a == f.c
 
 
 def is_two_torsion(f: Form) -> bool:
@@ -178,37 +180,27 @@ def is_two_torsion(f: Form) -> bool:
     the reduction inequalities is an equality (b = 0, a = b, or a = c)."""
     if not f.is_reduced():
         raise NotReduced(f"{f} is not reduced")
-    return f.b == 0 or f.a == f.b or f.a == f.c
+    return _on_boundary(f)
 
 
 def is_one_class_per_genus(d: int) -> bool:
-    """True iff every class of Cl(d) is 2-torsion, i.e. n = h/g = 1."""
-    return classes_per_genus(d) == 1
+    """True iff every class of Cl(d) is 2-torsion, i.e. n = h/g = 1.
+
+    Decided form by form with the boundary test, stopping at the first
+    form off the boundary; tests cross-check it against classes_per_genus.
+    """
+    return all(_on_boundary(f) for f in iter_reduced_primitive_forms(d))
 
 
-def _all_classes_boundary(d: int) -> bool:
-    # Fast scan path: every reduced primitive form sits on the reduction
-    # boundary.  Equivalent to is_one_class_per_genus(d); cross-checked by
-    # tests against the subgroup-of-squares route.
-    return all(f.b == 0 or f.a == f.b or f.a == f.c for f in iter_reduced_primitive_forms(d))
-
-
-def scan_one_class_per_genus(bound: int, workers: int = 1) -> list[int]:
+def scan_one_class_per_genus(bound: int) -> list[int]:
     """All discriminants |d| <= bound with one class per genus, sorted by |d|.
 
-    Deterministic output regardless of worker count; completeness beyond the
-    bound is not claimed (classically at most one further discriminant, of
-    very large absolute value, could exist).
+    Completeness beyond the bound is not claimed (classically at most one
+    further discriminant, of very large absolute value, could exist).
     """
     if bound < 4:
         raise ValueError("bound must be >= 4")
-    candidates = [-n for n in range(3, bound + 1) if n % 4 in (0, 3)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flags = list(pool.map(_all_classes_boundary, candidates, chunksize=64))
-    else:
-        flags = [_all_classes_boundary(d) for d in candidates]
-    return [d for d, ok in zip(candidates, flags) if ok]
+    return [-n for n in range(3, bound + 1) if n % 4 in (0, 3) and is_one_class_per_genus(-n)]
 
 
 @dataclass(frozen=True)

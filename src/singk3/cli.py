@@ -28,7 +28,6 @@ from .classgroup import (
     fundamental_data,
     genus_partition,
     scan_one_class_per_genus,
-    squares_subgroup,
 )
 from .errors import (
     InvalidDiscriminant,
@@ -42,7 +41,7 @@ from .k3 import analyze, inose_pencil, kummer_equation, kummer_reduction
 from .lattices import QuadElement, lattice_from_form, sm_factors
 from .modular import class_polynomial
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 _USAGE_ERRORS = (ParseError, NotPositiveDefinite, NotNegativeDiscriminant, InvalidDiscriminant)
 
@@ -53,16 +52,18 @@ _SCAN_CAVEAT = (
 )
 
 
-def parse_form(text: str) -> Form:
-    """Parse 'a,b,c' into a validated form."""
-    return Form.from_text(text)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line, like the errors a verb reports
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _env_default(name: str, fallback):
-    raw = os.environ.get(f"SINGK3_{name}")
-    if raw is None:
-        return fallback
-    return raw
+def positive_int(text: str) -> int:
+    # argparse reports a ValueError as "invalid positive_int value: ..."
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
 
 
 def _env_flag(name: str) -> bool:
@@ -70,7 +71,9 @@ def _env_flag(name: str) -> bool:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # String defaults, environment ones included, go through `type` when the
+    # flag is absent, so a bad SINGK3_* value is a usage error too.
+    parser = _Parser(
         prog="singk3",
         description="class groups, CM lattices, and field-of-definition bounds "
         "for singular K3 surfaces",
@@ -80,48 +83,44 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"singk3 {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p):
-        p.add_argument("--json", action="store_true", default=_env_flag("JSON"))
+    def add_precision(p):
         p.add_argument(
             "--precision",
-            type=int,
-            default=int(_env_default("PRECISION", 128)),
+            type=positive_int,
+            default=os.environ.get("SINGK3_PRECISION", "128"),
             metavar="DIGITS",
-            help="working precision in decimal digits (default 128)",
+            help="working precision in decimal digits, positive (default 128)",
         )
 
     p = sub.add_parser("classgroup", help="reduced forms and structure of Cl(d)")
     p.add_argument("d", type=int)
-    add_common(p)
 
     p = sub.add_parser("genus", help="genus partition and characters of Cl(d)")
     p.add_argument("d", type=int)
-    add_common(p)
 
     p = sub.add_parser("bounds", help="field-of-definition bounds for a form")
     p.add_argument("--form", required=True, metavar="a,b,c")
-    add_common(p)
+    add_precision(p)
 
     p = sub.add_parser("factors", help="CM points tau1, tau2 and their lattices")
     p.add_argument("--form", required=True, metavar="a,b,c")
     p.add_argument("--kummer", action="store_true", default=_env_flag("KUMMER"),
                    help="also report the half form when 2-divisible")
-    add_common(p)
 
     p = sub.add_parser("equation", help="Weierstrass model of the pencil")
     p.add_argument("--form", required=True, metavar="a,b,c")
     p.add_argument("--kummer", action="store_true", default=_env_flag("KUMMER"),
                    help="emit the Kummer base change instead")
-    add_common(p)
+    add_precision(p)
 
     p = sub.add_parser("classpoly", help="ring class polynomial of d")
     p.add_argument("d", type=int)
-    add_common(p)
 
     p = sub.add_parser("scan", help="one-class-per-genus discriminant scan")
-    p.add_argument("--bound", type=int, default=int(_env_default("BOUND", 10000)))
-    add_common(p)
+    p.add_argument("--bound", type=int, default=os.environ.get("SINGK3_BOUND", "10000"))
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", default=_env_flag("JSON"))
     return parser
 
 
@@ -129,14 +128,11 @@ def _form_list(forms) -> list[dict]:
     return [f.as_json() for f in sorted(forms, key=form_sort_key)]
 
 
-def _nstr(x, digits: int) -> str:
-    return mp.nstr(x, digits, strip_zeros=False)
-
-
 def _value_json(v, digits: int) -> dict:
     if isinstance(v, Fraction):
         return {"type": "rational", "value": str(v)}
-    return {"type": "complex", "re": _nstr(mp.re(v), digits), "im": _nstr(mp.im(v), digits)}
+    re, im = (mp.nstr(x, digits, strip_zeros=False) for x in (mp.re(v), mp.im(v)))
+    return {"type": "complex", "re": re, "im": im}
 
 
 def _tau_json(tau: QuadElement) -> dict:
@@ -145,6 +141,20 @@ def _tau_json(tau: QuadElement) -> dict:
         "x": [tau.x.numerator, tau.x.denominator],
         "y": [tau.y.numerator, tau.y.denominator],
     }
+
+
+def _form_str(f: dict) -> str:
+    return f"({f['a']},{f['b']},{f['c']})"
+
+
+def _value_str(v: dict) -> str:
+    return v["value"] if v["type"] == "rational" else f"{v['re']} + {v['im']}*i"
+
+
+def _quad_str(t: dict) -> str:
+    x = Fraction(t["x"][0], t["x"][1])
+    y = Fraction(t["y"][0], t["y"][1])
+    return f"({x} + {y}*sqrt({t['d_K']}))"
 
 
 def _run_classgroup(args, warnings):
@@ -159,22 +169,40 @@ def _run_classgroup(args, warnings):
     }
 
 
+def _render_classgroup(result, out):
+    print(f"Cl({result['d']}): h = {result['h']}", file=out)
+    for f in result["forms"]:
+        print(f"  {_form_str(f)}", file=out)
+    orders = [c["order"] for c in result["cyclic_decomposition"]]
+    print(f"cyclic decomposition: {' x '.join(f'Z/{k}' for k in orders) or 'trivial'}", file=out)
+
+
 def _run_genus(args, warnings):
     g = class_group(args.d)
     part = genus_partition(g)
-    n = len(squares_subgroup(g))
     return {
         "d": args.d,
         "h": g.order,
         "g": part.genus_count,
-        "n": n,
+        "n": len(part.principal_genus),
         "principal_genus": _form_list(part.principal_genus),
         "cosets": [_form_list(c) for c in part.cosets],
     }
 
 
+def _render_genus(result, out):
+    print(
+        f"Cl({result['d']}): h = {result['h']}, genera g = {result['g']}, "
+        f"classes per genus n = {result['n']}",
+        file=out,
+    )
+    for i, coset in enumerate(result["cosets"]):
+        tag = " (principal)" if coset == result["principal_genus"] else ""
+        print(f"  genus {i}{tag}: {' '.join(map(_form_str, coset))}", file=out)
+
+
 def _run_bounds(args, warnings):
-    q = parse_form(args.form)
+    q = Form.from_text(args.form)
     report = analyze(q, dps_to_prec(args.precision))
     sc = report.surface
     return {
@@ -189,7 +217,6 @@ def _run_bounds(args, warnings):
         "h_upper": report.class_number_upper,
         "parity_forced": report.parity_forced,
         "exact_minimal_field": report.exact_minimal_field,
-        "genus_size": report.genus_size,
         "model_field": {
             "description": report.model_field.description,
             "contained_in": report.model_field.contained_in,
@@ -199,8 +226,28 @@ def _run_bounds(args, warnings):
     }
 
 
+def _render_bounds(result, out):
+    print(
+        f"form {_form_str(result['form'])}: "
+        f"d = {result['d']} = {result['m']}^2 * ({result['d_prime']}), "
+        f"d_K = {result['d_K']}, f = {result['f']}",
+        file=out,
+    )
+    print(
+        f"  degree over K: divisible by n = {result['n']}, divides h(d) = {result['h_upper']}",
+        file=out,
+    )
+    print(f"  degree over Q forced even: {result['parity_forced']}", file=out)
+    if result["exact_minimal_field"]:
+        print(f"  exact minimal field: {result['exact_minimal_field']}", file=out)
+    field = result["model_field"]
+    print(f"  model over {field['description']} (inside {field['contained_in']})", file=out)
+    print(f"    j_n(tau1) = {_value_str(field['j_tau1_normalized'])}", file=out)
+    print(f"    j_n(tau2) = {_value_str(field['j_tau2_normalized'])}", file=out)
+
+
 def _run_factors(args, warnings):
-    q = parse_form(args.form)
+    q = Form.from_text(args.form)
     pair = sm_factors(q)
     lat = lattice_from_form(q)
     result = {
@@ -226,8 +273,27 @@ def _run_factors(args, warnings):
     return result
 
 
+def _render_factors(result, out):
+    print(f"d = {result['d']}", file=out)
+    print(f"  tau1 = {_quad_str(result['tau1'])}", file=out)
+    print(f"  tau2 = {_quad_str(result['tau2'])}", file=out)
+    lat = result["tau1_lattice"]
+    print(
+        f"  tau1 lattice: class {_form_str(lat['canonical_form'])}, "
+        f"conductor {lat['conductor']}",
+        file=out,
+    )
+    km = result.get("kummer")
+    if km:
+        print(
+            f"  Kummer: half form {_form_str(km['half_form'])}, "
+            f"tau1 = {_quad_str(km['tau1'])}, tau2/2 = {_quad_str(km['tau2'])}",
+            file=out,
+        )
+
+
 def _run_equation(args, warnings):
-    q = parse_form(args.form)
+    q = Form.from_text(args.form)
     prec = dps_to_prec(args.precision)
     model = kummer_equation(q, prec) if args.kummer else inose_pencil(q, prec)
     if not (isinstance(model.A, Fraction) and isinstance(model.B, Fraction)):
@@ -247,14 +313,22 @@ def _run_equation(args, warnings):
     }
 
 
+def _render_equation(result, out):
+    print(result["equation"], file=out)
+    print(f"  A = {_value_str(result['A'])}", file=out)
+    print(f"  B = {_value_str(result['B'])}", file=out)
+    if result["degenerate_rule_applied"]:
+        print("  (degenerate substitution rule applied)", file=out)
+
+
 def _run_classpoly(args, warnings):
     poly = class_polynomial(args.d)
-    return {
-        "d": args.d,
-        "degree": poly.degree,
-        "coefficients": poly.as_json(),
-        "certified": poly.certified,
-    }
+    return {"d": args.d, "degree": poly.degree, "coefficients": poly.as_json()}
+
+
+def _render_classpoly(result, out):
+    print(f"H_{result['d']}(x), degree {result['degree']}:", file=out)
+    print("  coefficients (constant first): " + " ".join(result["coefficients"]), file=out)
 
 
 def _run_scan(args, warnings):
@@ -263,17 +337,11 @@ def _run_scan(args, warnings):
     warnings.append(_SCAN_CAVEAT)
     records = []
     for d in hits:
-        g = class_group(d)
+        h = class_group(d).order
+        n = classes_per_genus(d)
         fd = fundamental_data(d)
         records.append(
-            {
-                "d": d,
-                "h": g.order,
-                "g": g.order // classes_per_genus(d),
-                "n": classes_per_genus(d),
-                "d_K": fd.field_discriminant,
-                "f": fd.conductor,
-            }
+            {"d": d, "h": h, "g": h // n, "n": n, "d_K": fd.field_discriminant, "f": fd.conductor}
         )
     return {
         "bound": args.bound,
@@ -285,107 +353,25 @@ def _run_scan(args, warnings):
     }
 
 
-_RUNNERS = {
-    "classgroup": _run_classgroup,
-    "genus": _run_genus,
-    "bounds": _run_bounds,
-    "factors": _run_factors,
-    "equation": _run_equation,
-    "classpoly": _run_classpoly,
-    "scan": _run_scan,
+def _render_scan(result, out):
+    print(
+        f"one class per genus, |d| <= {result['bound']}: {result['count']} discriminants, "
+        f"{result['field_count']} fields, largest {result['largest']}",
+        file=out,
+    )
+    print("  " + " ".join(str(r["d"]) for r in result["records"]), file=out)
+
+
+# verb -> (compute the JSON result, print it as text)
+_VERBS = {
+    "classgroup": (_run_classgroup, _render_classgroup),
+    "genus": (_run_genus, _render_genus),
+    "bounds": (_run_bounds, _render_bounds),
+    "factors": (_run_factors, _render_factors),
+    "equation": (_run_equation, _render_equation),
+    "classpoly": (_run_classpoly, _render_classpoly),
+    "scan": (_run_scan, _render_scan),
 }
-
-
-def _render_text(verb: str, result: dict, warnings: list[str], out) -> None:
-    if verb == "classgroup":
-        print(f"Cl({result['d']}): h = {result['h']}", file=out)
-        for f in result["forms"]:
-            print(f"  ({f['a']},{f['b']},{f['c']})", file=out)
-        orders = [c["order"] for c in result["cyclic_decomposition"]]
-        print(f"cyclic decomposition: {' x '.join(f'Z/{k}' for k in orders) or 'trivial'}", file=out)
-    elif verb == "genus":
-        print(
-            f"Cl({result['d']}): h = {result['h']}, genera g = {result['g']}, "
-            f"classes per genus n = {result['n']}",
-            file=out,
-        )
-        for i, coset in enumerate(result["cosets"]):
-            tag = " (principal)" if coset == result["principal_genus"] else ""
-            forms = " ".join(f"({f['a']},{f['b']},{f['c']})" for f in coset)
-            print(f"  genus {i}{tag}: {forms}", file=out)
-    elif verb == "bounds":
-        print(
-            f"form ({result['form']['a']},{result['form']['b']},{result['form']['c']}): "
-            f"d = {result['d']} = {result['m']}^2 * ({result['d_prime']}), "
-            f"d_K = {result['d_K']}, f = {result['f']}",
-            file=out,
-        )
-        print(
-            f"  degree over K: divisible by n = {result['n']}, divides h(d) = {result['h_upper']}",
-            file=out,
-        )
-        print(f"  degree over Q forced even: {result['parity_forced']}", file=out)
-        if result["exact_minimal_field"]:
-            print(f"  exact minimal field: {result['exact_minimal_field']}", file=out)
-        j1 = result["model_field"]["j_tau1_normalized"]
-        j2 = result["model_field"]["j_tau2_normalized"]
-        print(
-            f"  model over {result['model_field']['description']} "
-            f"(inside {result['model_field']['contained_in']})",
-            file=out,
-        )
-        for name, jv in (("j_n(tau1)", j1), ("j_n(tau2)", j2)):
-            if jv["type"] == "rational":
-                print(f"    {name} = {jv['value']}", file=out)
-            else:
-                print(f"    {name} = {jv['re']} + {jv['im']}*i", file=out)
-    elif verb == "factors":
-        print(f"d = {result['d']}", file=out)
-        print(f"  tau1 = {_quad_str(result['tau1'])}", file=out)
-        print(f"  tau2 = {_quad_str(result['tau2'])}", file=out)
-        lat = result["tau1_lattice"]
-        cf = lat["canonical_form"]
-        print(
-            f"  tau1 lattice: class ({cf['a']},{cf['b']},{cf['c']}), conductor {lat['conductor']}",
-            file=out,
-        )
-        if "kummer" in result and result["kummer"]:
-            km = result["kummer"]
-            hf = km["half_form"]
-            print(
-                f"  Kummer: half form ({hf['a']},{hf['b']},{hf['c']}), "
-                f"tau1 = {_quad_str(km['tau1'])}, tau2/2 = {_quad_str(km['tau2'])}",
-                file=out,
-            )
-    elif verb == "equation":
-        print(result["equation"], file=out)
-        for name in ("A", "B"):
-            v = result[name]
-            if v["type"] == "rational":
-                print(f"  {name} = {v['value']}", file=out)
-            else:
-                print(f"  {name} = {v['re']} + {v['im']}*i", file=out)
-        if result["degenerate_rule_applied"]:
-            print("  (degenerate substitution rule applied)", file=out)
-    elif verb == "classpoly":
-        terms = result["coefficients"]
-        print(f"H_{result['d']}(x), degree {result['degree']}, certified = {result['certified']}:", file=out)
-        print("  coefficients (constant first): " + " ".join(terms), file=out)
-    elif verb == "scan":
-        print(
-            f"one class per genus, |d| <= {result['bound']}: {result['count']} discriminants, "
-            f"{result['field_count']} fields, largest {result['largest']}",
-            file=out,
-        )
-        print("  " + " ".join(str(r["d"]) for r in result["records"]), file=out)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-
-
-def _quad_str(t: dict) -> str:
-    x = Fraction(t["x"][0], t["x"][1])
-    y = Fraction(t["y"][0], t["y"][1])
-    return f"({x} + {y}*sqrt({t['d_K']}))"
 
 
 def run(argv: list[str], out=None) -> int:
@@ -396,9 +382,10 @@ def run(argv: list[str], out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    compute, render = _VERBS[args.verb]
     warnings: list[str] = []
     try:
-        result = _RUNNERS[args.verb](args, warnings)
+        result = compute(args, warnings)
     except _USAGE_ERRORS + (ValueError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -419,7 +406,9 @@ def run(argv: list[str], out=None) -> int:
         }
         print(json.dumps(envelope), file=out)
     else:
-        _render_text(args.verb, result, warnings, out)
+        render(result, out)
+        for w in warnings:
+            print(f"warning: {w}", file=sys.stderr)
     return 0
 
 

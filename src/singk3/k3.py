@@ -94,7 +94,6 @@ class BoundsReport:
     class_number_upper: int
     parity_forced: bool
     exact_minimal_field: str | None
-    genus_size: int
     model_field: ModelField
 
 
@@ -183,7 +182,7 @@ def analyze(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundsRepo
         j2.j_normalized,
         precision_bits,
     )
-    return BoundsReport(sc, n, h_upper, parity_forced, exact, n, model)
+    return BoundsReport(sc, n, h_upper, parity_forced, exact, model)
 
 
 def _is_zero(v: Value) -> bool:
@@ -235,20 +234,12 @@ class WeierstrassModel:
         exact = isinstance(A, Fraction) and isinstance(B, Fraction)
         if _is_zero(B):
             f3, fo = (_fmt(3 * A), _fmt(A)) if exact else ("3*A*", "A*")
-            inner = f"({u2} + 1)"
-            return f"y^2 = x^3 - {f3}t^4*x + {fo}{t_out}*{inner}"
-        if _is_zero(A):
-            if exact:
-                fo, fb, f2b = _fmt(B), _fmt(B), _fmt(2 * B)
-            else:
-                fo, fb, f2b = "B*", "B*", "2*B*"
-            inner = f"({fb}{u2} - {f2b}{u1} + 1)"
-            return f"y^2 = x^3 + {fo}{t_out}*{inner}"
-        if exact:
-            f3, fo, fb, f2b = _fmt(3 * A * B), _fmt(A * B), _fmt(B), _fmt(2 * B)
-        else:
-            f3, fo, fb, f2b = "3*A*B*", "A*B*", "B*", "2*B*"
+            return f"y^2 = x^3 - {f3}t^4*x + {fo}{t_out}*({u2} + 1)"
+        fb, f2b = (_fmt(B), _fmt(2 * B)) if exact else ("B*", "2*B*")
         inner = f"({fb}{u2} - {f2b}{u1} + 1)"
+        if _is_zero(A):
+            return f"y^2 = x^3 + {fb}{t_out}*{inner}"
+        f3, fo = (_fmt(3 * A * B), _fmt(A * B)) if exact else ("3*A*B*", "A*B*")
         return f"y^2 = x^3 - {f3}t^4*x + {fo}{t_out}*{inner}"
 
 

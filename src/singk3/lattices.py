@@ -20,7 +20,7 @@ from math import gcd, isqrt, lcm
 
 from .classgroup import class_group, fundamental_data
 from .errors import FieldMismatch
-from .forms import Form, compose
+from .forms import Form, _xgcd, compose
 
 Rational = int | Fraction
 
@@ -110,7 +110,7 @@ class QuadLattice:
     field_discriminant: int
     basis: tuple[QuadElement, QuadElement]
     canonical_form: Form
-    conductor: int
+    conductor: int  # of the multiplier order {x in K : x*L <= L}
 
     @classmethod
     def from_basis(cls, w1: QuadElement, w2: QuadElement) -> QuadLattice:
@@ -213,19 +213,6 @@ def _hnf_two_columns(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], int]
     return (p, q), r
 
 
-def _xgcd(x: int, y: int) -> tuple[int, int, int]:
-    g, u, v = x, 1, 0
-    g2, u2, v2 = y, 0, 1
-    while g2:
-        qt = g // g2
-        g, g2 = g2, g - qt * g2
-        u, u2 = u2, u - qt * u2
-        v, v2 = v2, v - qt * v2
-    if g < 0:
-        g, u, v = -g, -u, -v
-    return g, u, v
-
-
 def _integer_coordinates(lat: QuadLattice) -> list[tuple[int, int]]:
     # basis coordinates scaled to integers (a homothety, so class-preserving)
     den = lcm(*(lcm(w.x.denominator, w.y.denominator) for w in lat.basis))
@@ -248,11 +235,6 @@ def multiply(l1: QuadLattice, l2: QuadLattice) -> QuadLattice:
     w1 = QuadElement(D, Fraction(p), Fraction(q))
     w2 = QuadElement(D, Fraction(0), Fraction(r))
     return QuadLattice.from_basis(w1, w2)
-
-
-def conductor(lat: QuadLattice) -> int:
-    """Conductor of the multiplier order {x in K : x*L <= L}."""
-    return lat.conductor
 
 
 def homothety_equal(l1: QuadLattice, l2: QuadLattice) -> bool:

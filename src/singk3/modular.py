@@ -20,7 +20,7 @@ from math import ceil, log2
 
 from mpmath import mp, mpc, mpf
 
-from .classgroup import class_group, class_number
+from .classgroup import class_group
 from .errors import NotUpperHalfPlane, PrecisionExhausted
 from .forms import Form
 from .lattices import QuadElement, minimal_form, tau_from_form
@@ -44,11 +44,11 @@ class ClassPolynomial:
     """Monic integer polynomial with roots j_raw(tau_F), F in Cl(d).
 
     coefficients are listed constant term first and include the leading 1.
+    class_polynomial returns one only after certifying it, and raises otherwise.
     """
 
     discriminant: int
     coefficients: tuple[int, ...]
-    certified: bool
 
     @property
     def degree(self) -> int:
@@ -186,15 +186,10 @@ def class_polynomial(d: int) -> ClassPolynomial:
     for _ in range(5):
         cur = _integer_coefficients(d, wp)
         if cur is not None and prev is not None and cur == prev:
-            return ClassPolynomial(d, cur, certified=True)
+            return ClassPolynomial(d, cur)
         prev = cur
         wp *= 2
     raise PrecisionExhausted(f"class polynomial for d={d} did not stabilize")
-
-
-def ring_class_degree(d: int) -> int:
-    """Degree [H(O):K] of the ring class field; equals the class number."""
-    return class_number(d)
 
 
 def _mpf_to_fraction(x: mpf) -> Fraction:

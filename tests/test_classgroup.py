@@ -14,7 +14,6 @@ from singk3.classgroup import (
     is_one_class_per_genus,
     is_two_torsion,
     scan_one_class_per_genus,
-    squares_subgroup,
 )
 from singk3.errors import ImprimitiveInput, InvalidDiscriminant, NotReduced
 from singk3.forms import Form, compose, power, principal_form
@@ -72,9 +71,12 @@ def test_group_structure_consistency():
 
 
 def test_squares_subgroup_examples():
-    assert squares_subgroup(class_group(-23)) == frozenset(class_group(-23).elements)
-    assert squares_subgroup(class_group(-4)) == frozenset({Form(1, 0, 1)})
-    assert squares_subgroup(class_group(-56)) == frozenset({Form(1, 0, 14), Form(2, 0, 7)})
+    def squares(d):
+        return genus_partition(class_group(d)).principal_genus
+
+    assert squares(-23) == frozenset(class_group(-23).elements)
+    assert squares(-4) == frozenset({Form(1, 0, 1)})
+    assert squares(-56) == frozenset({Form(1, 0, 14), Form(2, 0, 7)})
 
 
 def test_genus_partition_examples():
@@ -145,11 +147,7 @@ def test_scan_prefix_property():
 def test_scan_agrees_with_squares_route():
     hits = set(scan_one_class_per_genus(2000))
     for d in VALID:
-        assert (d in hits) == is_one_class_per_genus(d)
-
-
-def test_scan_parallel_contract():
-    assert scan_one_class_per_genus(400, workers=2) == scan_one_class_per_genus(400)
+        assert (d in hits) == (classes_per_genus(d) == 1)
 
 
 def test_fundamental_data_examples():

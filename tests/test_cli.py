@@ -1,10 +1,14 @@
 import json
-
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from singk3 import cli
-from singk3.errors import NotPositiveDefinite, PrecisionExhausted
+from singk3.errors import PrecisionExhausted
 from singk3.forms import Form
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_json(capsys, argv):
@@ -12,15 +16,8 @@ def run_json(capsys, argv):
     out = capsys.readouterr().out
     assert code == 0, out
     envelope = json.loads(out)
-    assert envelope["schema_version"] == "1"
+    assert envelope["schema_version"] == "2"
     return envelope
-
-
-def test_parse_form():
-    assert cli.parse_form("2,1,3") == Form(2, 1, 3)
-    assert cli.parse_form("4,0,4") == Form(4, 0, 4)
-    with pytest.raises(NotPositiveDefinite):
-        cli.parse_form("1,0,-1")
 
 
 def test_classgroup_verb(capsys):
@@ -99,7 +96,6 @@ def test_equation_numeric_warns(capsys):
 def test_classpoly_verb(capsys):
     res = run_json(capsys, ["classpoly", "-23"])["result"]
     assert res["degree"] == 3
-    assert res["certified"] is True
     assert res["coefficients"] == ["12771880859375", "-5151296875", "3491750", "1"]
 
 
@@ -126,8 +122,45 @@ def test_usage_errors_exit_2(capsys):
     assert cli.run(["bounds", "--form", "1,0,-1"]) == 2
     assert cli.run(["bounds", "--form", "nonsense"]) == 2
     assert cli.run(["scan", "--bound", "3"]) == 2
+    assert cli.run(["classgroup", "-23", "--precision", "64"]) == 2  # only bounds, equation
     assert cli.run(["no-such-verb"]) == 2
     capsys.readouterr()
+
+
+def assert_usage_error(capsys, argv):
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "error:" in err and "Traceback" not in err
+
+
+def test_precision_must_be_positive(capsys):
+    assert_usage_error(capsys, ["equation", "--form", "2,1,3", "--precision", "-5"])
+    assert_usage_error(capsys, ["equation", "--form", "2,1,3", "--precision", "0"])
+    assert_usage_error(capsys, ["bounds", "--form", "2,1,3", "--precision", "0"])
+
+
+def test_bad_precision_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SINGK3_PRECISION", "abc")
+    assert_usage_error(capsys, ["equation", "--form", "2,1,3"])
+    monkeypatch.setenv("SINGK3_PRECISION", "0")
+    assert_usage_error(capsys, ["bounds", "--form", "2,1,3"])
+
+
+def test_bad_bound_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SINGK3_BOUND", "abc")
+    assert_usage_error(capsys, ["scan"])
+
+
+def test_cli_import_loads_no_process_pool():
+    code = (
+        "import sys, singk3.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_computation_errors_exit_3(capsys, monkeypatch):

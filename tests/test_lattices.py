@@ -9,7 +9,6 @@ from singk3.forms import Form, compose, principal_form
 from singk3.lattices import (
     QuadElement,
     QuadLattice,
-    conductor,
     galois_orbit_classes,
     homothety_equal,
     lattice_from_form,
@@ -63,7 +62,7 @@ def test_from_tau_conductors():
     assert gaussian(4).conductor == 4
     assert gaussian(4).canonical_form == Form(1, 0, 16)
     assert gaussian(4).multiplier_discriminant() == -64
-    assert conductor(lattice_from_form(Form(2, 1, 3))) == 1
+    assert lattice_from_form(Form(2, 1, 3)).conductor == 1
 
 
 def test_sm_factors_examples():

@@ -13,7 +13,6 @@ from singk3.modular import (
     j_of_form,
     j_of_tau,
     recognize_rational,
-    ring_class_degree,
 )
 
 def test_j_at_i():
@@ -98,7 +97,6 @@ def test_class_polynomial_examples():
         1,
     )
     assert class_polynomial(-64).coefficients == (-7367066619912, -82226316240, 1)
-    assert class_polynomial(-23).certified
 
 
 def test_class_polynomial_structure():
@@ -120,12 +118,6 @@ def test_class_polynomial_json():
     arr = poly.as_json()
     assert arr[0] == "12771880859375" and arr[-1] == "1"
     assert [int(s) for s in arr] == list(poly.coefficients)
-
-
-def test_ring_class_degree():
-    assert ring_class_degree(-23) == 3
-    assert ring_class_degree(-4) == 1
-    assert ring_class_degree(-64) == 2
 
 
 def test_recognize_rational():
