@@ -2,10 +2,11 @@
 
 Cl(d) is enumerated as the set of reduced primitive forms of discriminant d
 via the bound |b| <= a <= sqrt(|d|/3).  The abelian group structure is found
-by direct composition (groups here are tiny), the genus partition as cosets
-of the subgroup of squares, with classical assigned characters kept as an
-independent cross-check.  One class per genus is decided without composing:
-every reduced form must lie on the reduction boundary.
+by greedy composition walks, a few compositions per class, the genus
+partition as cosets of the subgroup of squares, with classical assigned
+characters kept as an independent cross-check.  One class per genus is
+decided without composing: every reduced form must lie on the reduction
+boundary.
 """
 
 from __future__ import annotations
@@ -74,29 +75,40 @@ class ClassGroup:
 
 def _decompose(elements: tuple[Form, ...], identity: Form) -> tuple[tuple[Form, int], ...]:
     # Greedy basis construction: repeatedly adjoin an element of maximal order
-    # in the quotient by the span so far, adjusted to have that exact order.
-    # The maximality guarantees the adjustment exponents divide out (the
-    # constructive proof of the abelian basis theorem).
+    # in the quotient G/S by the span S so far (the first such element in
+    # `elements`), adjusted to have that exact order.  The maximality
+    # guarantees the adjustment exponents divide out (the constructive proof
+    # of the abelian basis theorem).
+    #
+    # Orders in G/S come from walks x, x^2, ... that stop at the first x^k in
+    # S.  Each x^t on that walk (1 <= t < k) has order k/gcd(t, k) <= k in
+    # G/S, and it is met in the scan after x was, when the best order is
+    # already >= k; under the strict `>` it can never be picked, so no walk
+    # starts from it.  The pick is therefore always a walk start, and x^k is
+    # the end of its walk.  An order equal to |G/S| cannot be beaten, which
+    # ends the scan.
     h = len(elements)
     gens: list[tuple[Form, int]] = []
     span: dict[Form, tuple[int, ...]] = {identity: ()}
     while len(span) < h:
-        best, best_k = None, 0
+        quotient = h // len(span)
+        walked: set[Form] = set()
+        best, best_k, best_end = None, 0, None
         for x in elements:
-            if x in span:
+            if x in span or x in walked:
                 continue
             k, p = 1, x
             while p not in span:
+                walked.add(p)
                 p = compose(p, x)
                 k += 1
             if k > best_k:
-                best, best_k = x, k
+                best, best_k, best_end = x, k, p
+                if k == quotient:
+                    break
         assert best is not None
         x, k = best, best_k
-        p = x
-        for _ in range(k - 1):
-            p = compose(p, x)
-        exps = span[p]  # x^k in terms of current generators
+        exps = span[best_end]  # x^k in terms of current generators
         for (g, _), e in zip(gens, exps):
             assert e % k == 0, "maximal-order pick violated divisibility"
             x = compose(x, power(g, -(e // k)))

@@ -6,7 +6,9 @@ Every verb supports --json, which wraps the payload in a stable envelope
 environment variables with the SINGK3_ prefix (SINGK3_PRECISION,
 SINGK3_BOUND, SINGK3_JSON, SINGK3_KUMMER).
 
-Exit codes: 0 success, 2 usage error, 3 computation error.
+Exit codes: 0 success, 1 stdout closed before all output was written (e.g.
+piped into `head`; reported without a traceback), 2 usage error (a bad
+SINGK3_* value names its variable), 3 computation error.
 """
 
 from __future__ import annotations
@@ -66,6 +68,36 @@ def positive_int(text: str) -> int:
     return value
 
 
+class _EnvText(str):
+    """A flag's default read from the environment variable `name`."""
+
+    def __new__(cls, name: str, text: str):
+        self = super().__new__(cls, text)
+        self.name = name
+        return self
+
+
+def _env_default(name: str, fallback: str) -> str:
+    text = os.environ.get(name)
+    return fallback if text is None else _EnvText(name, text)
+
+
+def _naming_env(convert):
+    # A bad value that came from the environment names its variable.
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            if not isinstance(text, _EnvText):
+                raise
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value {str(text)!r} from {text.name}"
+            ) from None
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def _env_flag(name: str) -> bool:
     return os.environ.get(f"SINGK3_{name}", "") not in ("", "0", "false", "no")
 
@@ -86,8 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_precision(p):
         p.add_argument(
             "--precision",
-            type=positive_int,
-            default=os.environ.get("SINGK3_PRECISION", "128"),
+            type=_naming_env(positive_int),
+            default=_env_default("SINGK3_PRECISION", "128"),
             metavar="DIGITS",
             help="working precision in decimal digits, positive (default 128)",
         )
@@ -117,7 +149,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("d", type=int)
 
     p = sub.add_parser("scan", help="one-class-per-genus discriminant scan")
-    p.add_argument("--bound", type=int, default=os.environ.get("SINGK3_BOUND", "10000"))
+    p.add_argument(
+        "--bound", type=_naming_env(int), default=_env_default("SINGK3_BOUND", "10000")
+    )
 
     for p in sub.choices.values():
         p.add_argument("--json", action="store_true", default=_env_flag("JSON"))
@@ -148,7 +182,10 @@ def _form_str(f: dict) -> str:
 
 
 def _value_str(v: dict) -> str:
-    return v["value"] if v["type"] == "rational" else f"{v['re']} + {v['im']}*i"
+    if v["type"] == "rational":
+        return v["value"]
+    im = v["im"]
+    return f"{v['re']} - {im[1:]}*i" if im.startswith("-") else f"{v['re']} + {im}*i"
 
 
 def _quad_str(t: dict) -> str:
@@ -413,4 +450,12 @@ def run(argv: list[str], out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the flush at
+        # exit does not fail again (the idiom from the Python signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

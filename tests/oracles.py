@@ -3,6 +3,8 @@
 Nothing here calls the reduction, composition, or genus code paths it is
 meant to check: equivalence is decided by searching over unimodular words,
 class numbers by the classical conductor formula, symbols by exponentiation.
+The one exception is reference_decomposition, which composes forms and so
+checks only the group-structure decomposition built on top of composition.
 """
 
 from __future__ import annotations
@@ -143,3 +145,44 @@ KNOWN_CLASS_NUMBERS = {
     -103: 5, -120: 4, -163: 1, -187: 2, -231: 12, -311: 19, -479: 25,
     -5460: 16, -7392: 16,
 }
+
+
+def reference_decomposition(elements, identity):
+    """Greedy invariant-factor basis of a class group, recomputed naively.
+
+    Unlike the oracles above, this one does compose (with singk3.forms), so
+    it checks only the decomposition: each round walks every element outside
+    the span until it reaches the span, picks the first element of maximal
+    quotient order, and adjusts it to have exactly that order.  Quadratic in
+    the class number.
+    """
+    from singk3.forms import compose, power
+
+    h = len(elements)
+    gens = []
+    span = {identity: ()}
+    while len(span) < h:
+        best, best_k = None, 0
+        for x in elements:
+            if x in span:
+                continue
+            k, p = 1, x
+            while p not in span:
+                p = compose(p, x)
+                k += 1
+            if k > best_k:
+                best, best_k = x, k
+        x, k = best, best_k
+        exps = span[power(x, k)]
+        for (g, _), e in zip(gens, exps):
+            assert e % k == 0
+            x = compose(x, power(g, -(e // k)))
+        new_span = {}
+        for elem, vec in span.items():
+            p = elem
+            for t in range(k):
+                new_span[p] = vec + (t,)
+                p = compose(p, x)
+        span = new_span
+        gens.append((x, k))
+    return tuple(gens)

@@ -3,6 +3,7 @@ from math import gcd, prod
 
 import pytest
 
+from singk3 import classgroup, forms
 from singk3.classgroup import (
     class_group,
     class_number,
@@ -15,10 +16,11 @@ from singk3.classgroup import (
     is_two_torsion,
     scan_one_class_per_genus,
 )
+from singk3._factor import factorize
 from singk3.errors import ImprimitiveInput, InvalidDiscriminant, NotReduced
 from singk3.forms import Form, compose, power, principal_form
 
-from oracles import KNOWN_CLASS_NUMBERS, class_number_oracle
+from oracles import KNOWN_CLASS_NUMBERS, class_number_oracle, reference_decomposition
 
 VALID = [-n for n in range(3, 2001) if n % 4 in (0, 3)]
 
@@ -68,6 +70,62 @@ def test_group_structure_consistency():
             direct = sum(1 for f in group.elements if power(f, k) == group.identity)
             predicted = prod(gcd(k, o) for o in orders)
             assert direct == predicted
+
+
+def assert_reference_generators(d):
+    group = class_group(d)
+    assert group.generators == reference_decomposition(group.elements, group.identity), d
+
+
+def test_generators_match_reference_decomposition():
+    for n in range(3, 5001):
+        if n % 4 in (0, 3):
+            assert_reference_generators(-n)
+
+
+def test_generators_match_reference_on_large_non_cyclic_groups():
+    # h = 352 (44x2x2x2), 288 (24x6x2), 640 (40x4x2x2)
+    for d in (-1277220, -2474752, -8323968):
+        assert_reference_generators(d)
+
+
+def count_compositions(monkeypatch) -> list[int]:
+    calls = [0]
+    plain = forms.compose
+
+    def counting(f1, f2):
+        calls[0] += 1
+        return plain(f1, f2)
+
+    monkeypatch.setattr(classgroup, "compose", counting)
+    monkeypatch.setattr(forms, "compose", counting)  # power composes through forms
+    return calls
+
+
+def test_decomposition_composes_a_few_times_per_class(monkeypatch):
+    calls = count_compositions(monkeypatch)
+    # cyclic, h = 706; and 40x4x2x2, h = 640, where no pick has order |G/S|
+    for d, h in ((-10000003, 706), (-8323968, 640)):
+        calls[0] = 0
+        group = class_group.__wrapped__(d)  # bypass the cache
+        assert group.order == h
+        assert 0 < calls[0] < 8 * h, (d, calls[0])
+
+
+@pytest.mark.slow
+def test_decomposition_of_a_class_group_of_order_7253(monkeypatch):
+    calls = count_compositions(monkeypatch)
+    group = class_group.__wrapped__(-100000007)
+    h = group.order
+    assert calls[0] < 8 * h
+    orders = group.cyclic_orders()
+    assert prod(orders) == h
+    for k1, k2 in zip(orders, orders[1:]):
+        assert k1 % k2 == 0
+    for g, k in group.generators:
+        assert power(g, k) == group.identity
+        for p in {k // q for q in factorize(k)}:
+            assert power(g, p) != group.identity
 
 
 def test_squares_subgroup_examples():

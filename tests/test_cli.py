@@ -127,10 +127,11 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def assert_usage_error(capsys, argv):
+def assert_usage_error(capsys, argv) -> str:
     assert cli.run(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "error:" in err and "Traceback" not in err
+    return err
 
 
 def test_precision_must_be_positive(capsys):
@@ -149,6 +150,46 @@ def test_bad_precision_env_is_usage_error(capsys, monkeypatch):
 def test_bad_bound_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("SINGK3_BOUND", "abc")
     assert_usage_error(capsys, ["scan"])
+
+
+def test_bad_precision_env_names_the_variable(capsys, monkeypatch):
+    for bad in ("abc", "-1"):
+        monkeypatch.setenv("SINGK3_PRECISION", bad)
+        err = assert_usage_error(capsys, ["equation", "--form", "2,1,3"])
+        assert "SINGK3_PRECISION" in err and repr(bad) in err
+    err = assert_usage_error(capsys, ["bounds", "--form", "2,1,3", "--precision", "x"])
+    assert "SINGK3_PRECISION" not in err  # the bad value was typed, not inherited
+
+
+def test_bad_bound_env_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("SINGK3_BOUND", "1e4")
+    err = assert_usage_error(capsys, ["scan"])
+    assert "SINGK3_BOUND" in err and "'1e4'" in err
+
+
+def test_complex_values_render_a_negative_imaginary_part_with_minus(capsys):
+    assert cli.run(["equation", "--form", "2,1,3", "--precision", "30"]) == 0
+    out = capsys.readouterr().out
+    assert "+ -" not in out
+    assert "A = -863.19" in out and " - 2063.68" in out
+    res = run_json(capsys, ["equation", "--form", "2,1,3", "--precision", "30"])["result"]
+    assert res["A"]["im"].startswith("-2063.68")  # JSON keeps the signed part
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    code = "import sys; from singk3.cli import main; sys.argv[0] = 'singk3'; main()"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before any output is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "genus", "-4043912", "--json"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr, proc.stderr
 
 
 def test_cli_import_loads_no_process_pool():
