@@ -17,16 +17,16 @@ from singk3 import (
     recognize_rational,
 )
 
-# Rational CM points first.  Both normalizations travel together:
-# j_raw(i) = 1728 and j_normalized(i) = 1.
+# Rational CM points first.  j is the classical invariant, j(i) = 1728; the
+# surface equations use j_n = j / 1728, so that j_n(i) = 1.
 for f, label in ((Form(1, 0, 1), "i"), (Form(1, 0, 4), "2i"), (Form(1, 1, 1), "zeta_3")):
-    jv = j_of_form(f, 200)
-    print(f"j({label}): raw = {mp.nstr(jv.j_raw, 12)}, normalized = {mp.nstr(jv.j_normalized, 12)}")
+    j = j_of_form(f, 200)
+    print(f"j({label}) = {mp.nstr(j, 12)}, j_n({label}) = {mp.nstr(j / 1728, 12)}")
 print()
 
-# Exact recognition: j_normalized(2i) is the rational 1331/8 = (11/2)^3.
-jv = j_of_form(Form(1, 0, 4), 400)
-print("recognized j_n(2i) =", recognize_rational(jv.j_normalized, 2**64, 400))
+# Exact recognition: j_n(2i) is the rational 1331/8 = (11/2)^3.
+with mp.workprec(400):
+    print("recognized j_n(2i) =", recognize_rational(j_of_form(Form(1, 0, 4), 400) / 1728, 2**64, 400))
 print()
 
 # Class polynomials.  Degree = class number = degree of the ring class field.
@@ -44,5 +44,5 @@ poly = class_polynomial(d)
 scale = max(abs(c) for c in poly.coefficients)
 with mp.workprec(400):
     for f in class_group(d).elements:
-        r = poly.evaluate(j_of_form(f, 400).j_raw)
+        r = poly.evaluate(j_of_form(f, 400))
         print(f"  |H({d}) at j of ({f})| / scale = {mp.nstr(abs(r) / scale, 5)}")

@@ -35,7 +35,6 @@ from .errors import (
     NotNegativeDiscriminant,
     NotPositiveDefinite,
     NotReduced,
-    NotUpperHalfPlane,
     ParseError,
     PrecisionExhausted,
     SingK3Error,
@@ -43,7 +42,6 @@ from .errors import (
 from .forms import Form, compose, power, principal_form
 from .k3 import (
     BoundsReport,
-    ModelField,
     SurfaceClass,
     WeierstrassModel,
     analyze,
@@ -70,10 +68,8 @@ from .lattices import (
 from .modular import (
     DEFAULT_PRECISION_BITS,
     ClassPolynomial,
-    JValue,
     class_polynomial,
     j_of_form,
-    j_of_tau,
     recognize_rational,
 )
 
@@ -91,13 +87,10 @@ __all__ = [
     "ImprimitiveInput",
     "InconsistentPair",
     "InvalidDiscriminant",
-    "JValue",
     "MismatchedDiscriminant",
-    "ModelField",
     "NotNegativeDiscriminant",
     "NotPositiveDefinite",
     "NotReduced",
-    "NotUpperHalfPlane",
     "ParseError",
     "PrecisionExhausted",
     "QuadElement",
@@ -123,7 +116,6 @@ __all__ = [
     "is_one_class_per_genus",
     "is_two_torsion",
     "j_of_form",
-    "j_of_tau",
     "kummer_equation",
     "kummer_reduction",
     "lattice_from_form",

@@ -43,7 +43,7 @@ from .k3 import analyze, inose_pencil, kummer_equation, kummer_reduction
 from .lattices import QuadElement, lattice_from_form, sm_factors
 from .modular import class_polynomial
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 _USAGE_ERRORS = (ParseError, NotPositiveDefinite, NotNegativeDiscriminant, InvalidDiscriminant)
 
@@ -255,10 +255,8 @@ def _run_bounds(args, warnings):
         "parity_forced": report.parity_forced,
         "exact_minimal_field": report.exact_minimal_field,
         "model_field": {
-            "description": report.model_field.description,
-            "contained_in": report.model_field.contained_in,
-            "j_tau1_normalized": _value_json(report.model_field.j_tau1_normalized, args.precision),
-            "j_tau2_normalized": _value_json(report.model_field.j_tau2_normalized, args.precision),
+            "j_tau1_normalized": _value_json(report.j_tau1_normalized, args.precision),
+            "j_tau2_normalized": _value_json(report.j_tau2_normalized, args.precision),
         },
     }
 
@@ -278,7 +276,7 @@ def _render_bounds(result, out):
     if result["exact_minimal_field"]:
         print(f"  exact minimal field: {result['exact_minimal_field']}", file=out)
     field = result["model_field"]
-    print(f"  model over {field['description']} (inside {field['contained_in']})", file=out)
+    print("  model over Q(j(tau1), j(tau2)) (inside K(j(tau2)))", file=out)
     print(f"    j_n(tau1) = {_value_str(field['j_tau1_normalized'])}", file=out)
     print(f"    j_n(tau2) = {_value_str(field['j_tau2_normalized'])}", file=out)
 
@@ -459,3 +457,7 @@ def main() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

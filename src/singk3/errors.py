@@ -33,10 +33,6 @@ class FieldMismatch(SingK3Error):
     """Operation mixes lattices from different imaginary quadratic fields."""
 
 
-class NotUpperHalfPlane(SingK3Error):
-    """tau must have positive imaginary part."""
-
-
 class PrecisionExhausted(SingK3Error):
     """Certified rounding failed even after raising the working precision."""
 

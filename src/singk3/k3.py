@@ -38,7 +38,7 @@ from .classgroup import (
 from .errors import InconsistentPair
 from .forms import Form, check_discriminant, principal_form
 from .lattices import TauPair, sm_factors
-from .modular import DEFAULT_PRECISION_BITS, j_of_form, recognize_rational
+from .modular import _GUARD_BITS, DEFAULT_PRECISION_BITS, j_of_form, recognize_rational
 
 Value = Fraction | mpc  # exact when recognized, arbitrary-precision complex otherwise
 
@@ -69,24 +69,15 @@ def surface_class(q: Form) -> SurfaceClass:
 
 
 @dataclass(frozen=True)
-class ModelField:
-    """The field Q(j(tau1), j(tau2)) over which an explicit model exists."""
-
-    description: str
-    contained_in: str
-    j_tau1_normalized: mpc
-    j_tau2_normalized: mpc
-    precision_bits: int
-
-
-@dataclass(frozen=True)
 class BoundsReport:
     """Constraints on the degree of the field of definition.
 
     classes_per_genus divides the degree over the CM field; that degree in
     turn divides class_number_upper (the explicit model lives inside the ring
     class field).  parity_forced means the degree over Q is even.  The exact
-    minimal field is reported only in the tabulated cases.
+    minimal field is reported only in the tabulated cases.  The explicit
+    model lives over Q(j(tau1), j(tau2)), inside K(j(tau2)); the two
+    normalized j-values generate that field.
     """
 
     surface: SurfaceClass
@@ -94,7 +85,8 @@ class BoundsReport:
     class_number_upper: int
     parity_forced: bool
     exact_minimal_field: str | None
-    model_field: ModelField
+    j_tau1_normalized: mpc
+    j_tau2_normalized: mpc
 
 
 def genus_of_transcendental_lattice(q: Form) -> frozenset[Form]:
@@ -173,16 +165,18 @@ def analyze(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundsRepo
     if lem_bounds_applies(sc.discriminant, sc.content):
         principal = qp == principal_form(sc.primitive_discriminant)
         exact = "Q(j(tau1))" if principal else "K(j(tau1))"
-    j1 = j_of_form(qp, precision_bits)
-    j2 = j_of_form(principal_form(sc.discriminant), precision_bits)
-    model = ModelField(
-        "Q(j(tau1), j(tau2))",
-        "K(j(tau2))",
-        j1.j_normalized,
-        j2.j_normalized,
-        precision_bits,
-    )
-    return BoundsReport(sc, n, h_upper, parity_forced, exact, model)
+    j1, j2 = _normalized_j_pair(q, precision_bits)
+    return BoundsReport(sc, n, h_upper, parity_forced, exact, j1, j2)
+
+
+def _normalized_j_pair(q: Form, precision_bits: int) -> tuple[mpc, mpc]:
+    # j_n(tau1), j_n(tau2) with j_n(i) = 1.  Divided with j_of_form's guard
+    # bits: at precision_bits (or mpmath's 53-bit default) the last bits the
+    # pencil's rational recognition and the printed digits rely on are lost.
+    with mp.workprec(precision_bits + _GUARD_BITS):
+        j1 = j_of_form(q.primitive_part(), precision_bits) / 1728
+        j2 = j_of_form(principal_form(q.discriminant()), precision_bits) / 1728
+    return j1, j2
 
 
 def _is_zero(v: Value) -> bool:
@@ -258,11 +252,10 @@ def _pencil_values(q: Form, precision_bits: int):
     a_zero = sc.primitive_discriminant == -3 or sc.discriminant == -3
     b_zero = sc.primitive_discriminant == -4 or sc.discriminant == -4
     assert not (a_zero and b_zero)
-    j1 = j_of_form(q.primitive_part(), precision_bits)
-    j2 = j_of_form(principal_form(sc.discriminant), precision_bits)
+    j1, j2 = _normalized_j_pair(q, precision_bits)
     with mp.workprec(precision_bits):
-        a_num = j1.j_normalized * j2.j_normalized
-        b_num = (1 - j1.j_normalized) * (1 - j2.j_normalized)
+        a_num = j1 * j2
+        b_num = (1 - j1) * (1 - j2)
         A = Fraction(0) if a_zero else recognize_rational(a_num, 2**64, precision_bits)
         B = Fraction(0) if b_zero else recognize_rational(b_num, 2**64, precision_bits)
         if A is None:

@@ -2,10 +2,9 @@
 
 j is evaluated from the Eisenstein q-expansions E4, E6 as
 j = 1728 * E4^3 / (E4^3 - E6^2), truncated with an explicit tail bound after
-tau has been moved into the fundamental domain.  Two normalizations travel
-together: j_raw (j(i) = 1728, integral on CM points of class number one) and
-j_normalized = j_raw / 1728 (j(i) = 1), which is what the surface-equation
-layer consumes.
+the form has been reduced, which puts tau(F) in the fundamental domain.  The
+value is the classical one, j(i) = 1728, integral on CM points of class
+number one; the surface-equation layer divides by 1728 itself.
 
 Class polynomials are assembled as products over Cl(d) and rounded to
 integers only when the rounding margin holds at two successive working
@@ -21,27 +20,16 @@ from math import ceil, log2
 from mpmath import mp, mpc, mpf
 
 from .classgroup import class_group
-from .errors import NotUpperHalfPlane, PrecisionExhausted
+from .errors import PrecisionExhausted
 from .forms import Form
-from .lattices import QuadElement, minimal_form, tau_from_form
 
 DEFAULT_PRECISION_BITS = 428  # ~128 decimal digits
 _GUARD_BITS = 32
 
 
 @dataclass(frozen=True)
-class JValue:
-    """A j-invariant sample: raw (j(i) = 1728) and normalized (j(i) = 1)."""
-
-    tau: object  # QuadElement when exact, else an mpc
-    j_raw: mpc
-    j_normalized: mpc
-    precision_bits: int
-
-
-@dataclass(frozen=True)
 class ClassPolynomial:
-    """Monic integer polynomial with roots j_raw(tau_F), F in Cl(d).
+    """Monic integer polynomial with roots j(tau_F), F in Cl(d).
 
     coefficients are listed constant term first and include the leading 1.
     class_polynomial returns one only after certifying it, and raises otherwise.
@@ -104,49 +92,16 @@ def _j_in_fundamental_domain(tau) -> mpc:
         return 1728 * num / (num - e6**2)
 
 
-def _reduce_to_fundamental_domain(tau: mpc) -> mpc:
-    # floating-point modular reduction for tau not backed by a form
-    for _ in range(10000):
-        tau = tau - mp.nint(mp.re(tau))
-        if abs(tau) >= 1 - mp.mpf(2) ** (-mp.prec // 2):
-            return tau
-        tau = -1 / tau
-    raise PrecisionExhausted("modular reduction did not converge")
+def j_of_form(f: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpc:
+    """j(tau(F)), tau(F) = (-b + sqrt(d))/(2a), with j(i) = 1728.
 
-
-def j_of_form(f: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> JValue:
-    """j at tau(F) = (-b + sqrt(d))/(2a), reducing the form exactly first."""
+    The form is reduced exactly first; the value is rounded to
+    precision_bits + _GUARD_BITS bits.
+    """
     r = f.primitive_part().reduced()
     with mp.workprec(precision_bits + _GUARD_BITS):
         tau = mp.mpc(mpf(-r.b), mp.sqrt(-r.discriminant())) / (2 * r.a)
-        j = _j_in_fundamental_domain(tau)
-        j_raw = +j
-        j_norm = j / 1728
-    return JValue(tau_from_form(r), j_raw, j_norm, precision_bits)
-
-
-def j_of_tau(tau, precision_bits: int = DEFAULT_PRECISION_BITS) -> JValue:
-    """j at an arbitrary upper half plane point.
-
-    Exact QuadElement inputs are routed through their minimal-polynomial form
-    so the fundamental-domain reduction happens in exact arithmetic; numeric
-    inputs are reduced with floating-point modular transformations.
-    """
-    if isinstance(tau, QuadElement):
-        if tau.y <= 0:
-            raise NotUpperHalfPlane(f"{tau} has non-positive imaginary part")
-        jv = j_of_form(minimal_form(tau), precision_bits)
-        return JValue(tau, jv.j_raw, jv.j_normalized, precision_bits)
-    with mp.workprec(precision_bits + _GUARD_BITS):
-        t = mp.mpc(tau)
-        if mp.im(t) <= 0:
-            raise NotUpperHalfPlane(f"{tau} has non-positive imaginary part")
-        t = _reduce_to_fundamental_domain(t)
-        j = _j_in_fundamental_domain(t)
-        j_raw = +j
-        j_norm = j / 1728
-        tau_kept = +mp.mpc(tau)
-    return JValue(tau_kept, j_raw, j_norm, precision_bits)
+        return +_j_in_fundamental_domain(tau)
 
 
 def _height_precision_bits(d: int) -> int:
@@ -158,7 +113,7 @@ def _height_precision_bits(d: int) -> int:
 def _integer_coefficients(d: int, wp: int) -> tuple[int, ...] | None:
     # expand prod (x - j_F) at working precision wp; None if margin violated
     with mp.workprec(wp):
-        roots = [j_of_form(f, wp).j_raw for f in class_group(d).elements]
+        roots = [j_of_form(f, wp) for f in class_group(d).elements]
         coeffs = [mp.mpc(1)]
         for r in roots:
             nxt = [mp.mpc(0)] * (len(coeffs) + 1)
@@ -176,7 +131,7 @@ def _integer_coefficients(d: int, wp: int) -> tuple[int, ...] | None:
 
 
 def class_polynomial(d: int) -> ClassPolynomial:
-    """Monic integer polynomial whose roots are the j_raw values over Cl(d).
+    """Monic integer polynomial whose roots are the j values over Cl(d).
 
     The result is certified by recomputation: coefficients must round within
     a 0.01 margin and agree at two successive (doubled) precisions.

@@ -216,7 +216,7 @@ def test_criterion_08_class_polynomials_to_200():
                 extraprec=200,
             )
             for f in class_group(d).elements:
-                jf = j_of_form(f, mp.prec).j_raw
+                jf = j_of_form(f, mp.prec)
                 rel = min(abs(r - jf) / max(abs(jf), mp.mpf(1)) for r in roots)
                 if rel > mp.mpf("1e-20"):
                     failures.append(d)
@@ -230,16 +230,19 @@ def test_criterion_08_class_polynomials_to_200():
 
 
 def test_criterion_09_j_normalization():
+    # j_n = j / 1728 as the surface layer computes it: analyze's j_n(tau1)
     prec = 428
-    jv = j_of_form(Form(1, 0, 1), prec)
-    ok = abs(jv.j_normalized - 1) <= mp.mpf(2) ** (-prec + 16)
-    j2i = j_of_form(Form(1, 0, 4), prec)
-    got = recognize_rational(j2i.j_normalized, 2**64, prec)
+    jn_i = analyze(Form(1, 0, 1), prec).j_tau1_normalized
+    ok = abs(jn_i - 1) <= mp.mpf(2) ** (-prec + 16)
+    jn_2i = analyze(Form(1, 0, 4), prec).j_tau1_normalized
+    got = recognize_rational(jn_2i, 2**64, prec)
     # oracle: same series at quadruple precision
-    j2i_hi = j_of_form(Form(1, 0, 4), 4 * prec)
-    oracle = recognize_rational(j2i_hi.j_normalized, 2**64, 4 * prec)
+    jn_2i_hi = analyze(Form(1, 0, 4), 4 * prec).j_tau1_normalized
+    oracle = recognize_rational(jn_2i_hi, 2**64, 4 * prec)
     ok &= got == oracle == Fraction(1331, 8)
-    ok &= abs(j2i.j_raw - j2i_hi.j_raw) <= mp.mpf(2) ** (-prec + 20) * abs(j2i_hi.j_raw)
+    j2i = j_of_form(Form(1, 0, 4), prec)
+    j2i_hi = j_of_form(Form(1, 0, 4), 4 * prec)
+    ok &= abs(j2i - j2i_hi) <= mp.mpf(2) ** (-prec + 20) * abs(j2i_hi)
     _report(9, "j_n(i) = 1 and j_n(2i) recognized as 1331/8 against 4x-precision oracle", ok)
 
 

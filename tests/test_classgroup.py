@@ -266,3 +266,14 @@ def test_class_number_conductor_formula_consistency():
         if fd.conductor == 1:
             continue
         assert class_number(d) == class_number_oracle(d)
+
+
+def test_discriminant_caches_are_bounded():
+    # a long-lived process asking about ever new discriminants must not grow
+    # these caches without bound
+    for n in range(3, 2301):
+        if n % 4 in (0, 3):
+            genus_partition(class_group(-n))
+            fundamental_data(-n)
+    for cached in (class_group, genus_partition, fundamental_data):
+        assert cached.cache_info().currsize <= 1024

@@ -16,7 +16,7 @@ def run_json(capsys, argv):
     out = capsys.readouterr().out
     assert code == 0, out
     envelope = json.loads(out)
-    assert envelope["schema_version"] == "2"
+    assert envelope["schema_version"] == "3"
     return envelope
 
 
@@ -50,7 +50,10 @@ def test_bounds_verb(capsys):
     assert res["parity_forced"] is True
     assert res["exact_minimal_field"] == "K(j(tau1))"
     assert res["d"] == -23 and res["d_K"] == -23 and res["m"] == 1
-    assert res["model_field"]["contained_in"] == "K(j(tau2))"
+    assert set(res["model_field"]) == {"j_tau1_normalized", "j_tau2_normalized"}
+    assert res["model_field"]["j_tau1_normalized"]["type"] == "complex"
+    assert cli.run(["bounds", "--form", "2,1,3"]) == 0
+    assert "  model over Q(j(tau1), j(tau2)) (inside K(j(tau2)))\n" in capsys.readouterr().out
 
 
 def test_factors_verb(capsys):
