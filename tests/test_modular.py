@@ -5,7 +5,12 @@ from mpmath import mp
 
 from singk3.classgroup import class_group, class_number
 from singk3.forms import Form
-from singk3.modular import class_polynomial, j_of_form, recognize_rational
+from singk3.modular import (
+    _j_in_fundamental_domain,
+    class_polynomial,
+    j_of_form,
+    recognize_rational,
+)
 
 from oracles import apply_word, random_primitive_form, random_unimodular_word
 
@@ -30,6 +35,25 @@ def test_j_zero_point():
     # tau(1,1,1) = (-1 + sqrt(-3))/2, a cube root of unity: j = 0
     j = j_of_form(Form(1, 1, 1), 300)
     assert abs(j) < mp.mpf(2) ** (-260)
+
+
+def test_j_exact_route_matches_float_route():
+    # exact route: j_of_form reduces the integer form, then sums the series.
+    # float route: move tau(F) into the fundamental domain with floating T and
+    # S steps, then sum the same series there.
+    rng = random.Random(31)
+    for _ in range(25):
+        f = random_primitive_form(rng, max_a=12)
+        exact = j_of_form(f, 220)
+        with mp.workprec(260):
+            t = mp.mpc(-f.b, mp.sqrt(-f.discriminant())) / (2 * f.a)
+            while True:
+                t -= mp.nint(mp.re(t))
+                if abs(t) >= 1:
+                    break
+                t = -1 / t
+            numeric = _j_in_fundamental_domain(t)
+        assert abs(exact - numeric) < mp.mpf(2) ** (-160) * (1 + abs(exact))
 
 
 def test_against_mpmath_kleinj():
