@@ -30,6 +30,7 @@ from .errors import (
     FieldMismatch,
     ImprimitiveInput,
     InconsistentPair,
+    InputTooLarge,
     InvalidDiscriminant,
     MismatchedDiscriminant,
     NotNegativeDiscriminant,
@@ -86,6 +87,7 @@ __all__ = [
     "GenusPartition",
     "ImprimitiveInput",
     "InconsistentPair",
+    "InputTooLarge",
     "InvalidDiscriminant",
     "MismatchedDiscriminant",
     "NotNegativeDiscriminant",

@@ -8,7 +8,8 @@ SINGK3_BOUND, SINGK3_JSON, SINGK3_KUMMER).
 
 Exit codes: 0 success, 1 stdout closed before all output was written (e.g.
 piped into `head`; reported without a traceback), 2 usage error (a bad
-SINGK3_* value names its variable), 3 computation error.
+SINGK3_* value names its variable; an input over a size limit names the
+limit), 3 computation error.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .classgroup import (
     scan_one_class_per_genus,
 )
 from .errors import (
+    InputTooLarge,
     InvalidDiscriminant,
     NotNegativeDiscriminant,
     NotPositiveDefinite,
@@ -43,9 +45,15 @@ from .k3 import analyze, inose_pencil, kummer_equation, kummer_reduction
 from .lattices import QuadElement, lattice_from_form, sm_factors
 from .modular import class_polynomial
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
-_USAGE_ERRORS = (ParseError, NotPositiveDefinite, NotNegativeDiscriminant, InvalidDiscriminant)
+_USAGE_ERRORS = (
+    ParseError,
+    NotPositiveDefinite,
+    NotNegativeDiscriminant,
+    InvalidDiscriminant,
+    InputTooLarge,
+)
 
 _SCAN_CAVEAT = (
     "the scan bound is a search cutoff, not a completeness proof: classically "
@@ -358,12 +366,27 @@ def _render_equation(result, out):
 
 def _run_classpoly(args, warnings):
     poly = class_polynomial(args.d)
-    return {"d": args.d, "degree": poly.degree, "coefficients": poly.as_json()}
+    return {
+        "d": args.d,
+        "degree": poly.degree,
+        "coefficients": poly.as_json(),
+        "certificate": {
+            "precision_bits": poly.precision_bits,
+            "rounds": poly.rounds,
+            "error_bound_log2": poly.error_bound_log2,
+        },
+    }
 
 
 def _render_classpoly(result, out):
     print(f"H_{result['d']}(x), degree {result['degree']}:", file=out)
     print("  coefficients (constant first): " + " ".join(result["coefficients"]), file=out)
+    cert = result["certificate"]
+    print(
+        f"  certified at {cert['precision_bits']} bits in {cert['rounds']} round(s), "
+        f"error < 2^{cert['error_bound_log2']}",
+        file=out,
+    )
 
 
 def _run_scan(args, warnings):

@@ -43,3 +43,7 @@ class InconsistentPair(SingK3Error):
 
 class ParseError(SingK3Error):
     """Malformed textual input."""
+
+
+class InputTooLarge(SingK3Error):
+    """Input exceeds the size a computation accepts (the message names the limit)."""

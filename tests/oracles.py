@@ -3,14 +3,18 @@
 Nothing here calls the reduction, composition, or genus code paths it is
 meant to check: equivalence is decided by searching over unimodular words,
 class numbers by the classical conductor formula, symbols by exponentiation.
-The one exception is reference_decomposition, which composes forms and so
-checks only the group-structure decomposition built on top of composition.
+Two exceptions build on production routes and so check only what sits on
+top of them: reference_decomposition composes forms to check the
+group-structure decomposition, and reference_class_polynomial evaluates j
+with singk3.modular.j_of_form to check the certified product and rounding.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from fractions import Fraction
+from math import ceil
 
 from singk3.forms import Form
 
@@ -186,3 +190,48 @@ def reference_decomposition(elements, identity):
         span = new_span
         gens.append((x, k))
     return tuple(gens)
+
+
+def reference_class_polynomial(d: int) -> tuple[int, ...]:
+    """Coefficients of H_d, constant term first, by the earlier two-pass route.
+
+    Expands prod (x - j_F) over every class in complex arithmetic and accepts
+    the rounding once all coefficients lie within 0.01 of integers and agree
+    at two successive doubled precisions, a heuristic rather than a proof.
+    Several times slower than singk3.modular.class_polynomial.
+    """
+    from mpmath import mp
+
+    from singk3.classgroup import class_group
+    from singk3.modular import j_of_form
+
+    forms = class_group(d).elements
+    inv_a = sum(Fraction(1, f.a) for f in forms)
+    wp = ceil(3.1415926536 * (-d) ** 0.5 * float(inv_a) / 0.6931471806) + 64
+
+    def rounded(wp):
+        with mp.workprec(wp):
+            coeffs = [mp.mpc(1)]
+            for f in forms:
+                r = j_of_form(f, wp)
+                nxt = [mp.mpc(0)] * (len(coeffs) + 1)
+                for i, ci in enumerate(coeffs):
+                    nxt[i] -= ci * r
+                    nxt[i + 1] += ci
+                coeffs = nxt
+            out = []
+            for c in coeffs:
+                n = mp.nint(mp.re(c))
+                if abs(mp.im(c)) > mp.mpf("0.01") or abs(mp.re(c) - n) > mp.mpf("0.01"):
+                    return None
+                out.append(int(n))
+        return tuple(out)
+
+    prev = None
+    for _ in range(5):
+        cur = rounded(wp)
+        if cur is not None and cur == prev:
+            return cur
+        prev = cur
+        wp *= 2
+    raise RuntimeError(f"reference class polynomial for d={d} did not stabilize")

@@ -16,7 +16,7 @@ def run_json(capsys, argv):
     out = capsys.readouterr().out
     assert code == 0, out
     envelope = json.loads(out)
-    assert envelope["schema_version"] == "3"
+    assert envelope["schema_version"] == "4"
     return envelope
 
 
@@ -100,6 +100,27 @@ def test_classpoly_verb(capsys):
     res = run_json(capsys, ["classpoly", "-23"])["result"]
     assert res["degree"] == 3
     assert res["coefficients"] == ["12771880859375", "-5151296875", "3491750", "1"]
+    cert = res["certificate"]
+    assert set(cert) == {"precision_bits", "rounds", "error_bound_log2"}
+    assert cert["rounds"] == 1 and cert["precision_bits"] > 0 and cert["error_bound_log2"] < -1
+
+
+def test_classpoly_text_ends_with_the_certificate(capsys):
+    assert cli.run(["classpoly", "-23"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "H_-23(x), degree 3:",
+        "  coefficients (constant first): 12771880859375 -5151296875 3491750 1",
+    ]
+    assert len(lines) == 3
+    assert lines[2].startswith("  certified at ") and " bits in 1 round(s), error < 2^-" in lines[2]
+
+
+def test_classpoly_over_the_size_limit_is_usage_error(capsys):
+    from singk3.modular import _MAX_CLASSPOLY_ABS_D
+
+    err = assert_usage_error(capsys, ["classpoly", "-1000003"])
+    assert str(_MAX_CLASSPOLY_ABS_D) in err and "-1000003" in err
 
 
 def test_scan_verb(capsys):

@@ -1,18 +1,51 @@
+import json
 import random
 from fractions import Fraction
+from math import log, pi, sqrt
+from pathlib import Path
 
+import pytest
 from mpmath import mp
 
+from singk3 import modular
 from singk3.classgroup import class_group, class_number
+from singk3.errors import InputTooLarge
 from singk3.forms import Form
 from singk3.modular import (
+    _approximate_coefficients,
+    _height_precision_bits,
     _j_in_fundamental_domain,
+    _mpf_to_fraction,
+    _series_terms,
     class_polynomial,
     j_of_form,
     recognize_rational,
 )
 
-from oracles import apply_word, random_primitive_form, random_unimodular_word
+from oracles import (
+    apply_word,
+    random_primitive_form,
+    random_unimodular_word,
+    reference_class_polynomial,
+)
+
+POOLED_D = [
+    e["d"]
+    for e in json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "pools.json").read_text()
+    )["classpoly"]
+]
+
+H_MINUS_71 = (
+    737707086760731113357714241006081263,
+    -425319473946139603274605151187659,
+    5138800366453976780323726329446,
+    -823534263439730779968091389,
+    98394038810047812049302,
+    -3091990138604570,
+    313645809715,
+    1,
+)
 
 
 def test_j_at_i():
@@ -80,7 +113,7 @@ def test_j_invariant_under_unimodular_moves():
 def test_class_polynomial_examples():
     assert class_polynomial(-4).coefficients == (-1728, 1)
     assert class_polynomial(-16).coefficients == (-287496, 1)
-    # frozen after computing at two precisions; matches the classical tables
+    # frozen from the certified pass; matches the classical tables
     assert class_polynomial(-23).coefficients == (
         12771880859375,
         -5151296875,
@@ -102,6 +135,105 @@ def test_class_polynomial_structure():
             root = j_of_form(f, 350)
             with mp.workprec(360):
                 assert abs(poly.evaluate(root)) < mp.mpf(2) ** (-120) * scale
+
+
+def _discriminants(max_abs_d: int):
+    return [-n for n in range(3, max_abs_d + 1) if -n % 4 in (0, 1)]
+
+
+def test_class_polynomial_matches_reference_to_500():
+    for d in _discriminants(500):
+        assert class_polynomial(d).coefficients == reference_class_polynomial(d), d
+
+
+@pytest.mark.slow
+def test_class_polynomial_matches_reference_to_2000():
+    for d in _discriminants(2000):
+        assert class_polynomial(d).coefficients == reference_class_polynomial(d), d
+
+
+def test_class_polynomial_falls_back_to_doubled_precision(monkeypatch):
+    monkeypatch.setattr(modular, "_height_precision_bits", lambda d: 64)
+    poly = class_polynomial(-71)
+    assert poly.coefficients == H_MINUS_71
+    assert poly.rounds > 1
+    assert poly.precision_bits == 64 * 2 ** (poly.rounds - 1)
+
+
+def test_error_bound_covers_the_actual_error_on_pooled_d(monkeypatch):
+    # E = 2^e bounds |c_k' - c_k| against the integers of the two-pass oracle,
+    # and one pass at the starting precision always suffices
+    passes = []
+
+    def recording(d, wp):
+        passes.append(_approximate_coefficients(d, wp))
+        return passes[-1]
+
+    monkeypatch.setattr(modular, "_approximate_coefficients", recording)
+    for d in POOLED_D:
+        passes.clear()
+        poly = class_polynomial(d)
+        assert poly.rounds == len(passes) == 1
+        assert poly.precision_bits == _height_precision_bits(d)
+        approx, e = passes[0]
+        assert e == poly.error_bound_log2
+        exact = reference_class_polynomial(d)
+        assert poly.coefficients == exact
+        bound = Fraction(2) ** e
+        for c_hat, c in zip(approx, exact, strict=True):
+            assert abs(_mpf_to_fraction(c_hat) - c) <= bound, d
+
+
+def test_series_terms_meet_the_tail_inequality():
+    # lemma part 1: with N = _series_terms(log2 r, wp), both Eisenstein tails
+    # 240 sum_{n>N} sigma_3(n) r^n and 504 sum_{n>N} sigma_5(n) r^n are <= 2^-wp
+    # for every r <= e^(-pi sqrt 3), the largest |q| in the fundamental domain
+    def sigma(k, n):
+        return sum(t**k for t in range(1, n + 1) if n % t == 0)
+
+    top = -pi * sqrt(3) / log(2)
+    for log2_q in (top, -8.0, -9.5, -13.0, -31.4, -100.0, -777.7, -5000.0):
+        for wp in (64, 65, 100, 333, 1000, 2048, 4099, 8192):
+            n = _series_terms(log2_q, wp)
+            with mp.workprec(80):
+                r = mp.mpf(2) ** log2_q
+                for k, weight in ((3, 240), (5, 504)):
+                    head = mp.fsum(sigma(k, m) * r**m for m in range(n + 1, n + 41))
+                    # beyond: sigma_k(m) <= zeta(k) m^k, and m^k r^m shrinks by
+                    # at least 32 r < 0.14 per step
+                    rest = mp.zeta(k) * (n + 41) ** k * r ** (n + 41) / 0.86
+                    assert weight * (head + rest) <= mp.mpf(2) ** -wp, (log2_q, wp, k)
+
+
+def test_inverse_class_gives_the_conjugate_j():
+    # the pass evaluates j once per pair (a, +-b, c); the dropped value must be
+    # exactly the conjugate, bit for bit
+    rng = random.Random(33)
+    checked = 0
+    while checked < 25:
+        d = -rng.randrange(20, 5000)
+        if d % 4 not in (0, 1):
+            continue
+        pairs = [f for f in class_group(d).elements if 0 < f.b < f.a < f.c]
+        if not pairs:
+            continue
+        f = rng.choice(pairs)
+        p = rng.choice((64, 200, 428, 1000))
+        with mp.workprec(p + 64):  # wide enough for conj not to round
+            assert j_of_form(Form(f.a, -f.b, f.c), p) == mp.conj(j_of_form(f, p)), (f, p)
+        checked += 1
+
+
+def test_class_polynomial_refuses_oversized_d(monkeypatch):
+    def no_enumeration(d):
+        raise AssertionError("enumerated before the size check")
+
+    monkeypatch.setattr(modular, "class_group", no_enumeration)
+    too_big = -(modular._MAX_CLASSPOLY_ABS_D + 1)
+    with pytest.raises(InputTooLarge, match=str(modular._MAX_CLASSPOLY_ABS_D)):
+        class_polynomial(too_big)
+    with pytest.raises(InputTooLarge):
+        class_polynomial(-1000003)
 
 
 def test_class_polynomial_json():
