@@ -187,7 +187,7 @@ def _approximate_coefficients(d: int, wp: int) -> tuple[list[mpf], int]:
     # prod (x - j_F) over Cl(d) at wp bits, constant term first, and e with
     # every coefficient within 2^e of the true integer (certificate above)
     forms = class_group(d).elements
-    n_real = n_pairs = 0
+    roots = 0
     log2_majorant = 0.0
     with mp.workprec(wp):
         coeffs = [mpf(1)]
@@ -195,19 +195,16 @@ def _approximate_coefficients(d: int, wp: int) -> tuple[list[mpf], int]:
             if f.b < 0:
                 continue  # j of (a, -b, c) is the conjugate of j of (a, b, c)
             j = j_of_form(f, wp)
-            re = mp.re(j)
+            re, im = mp.re(j), mp.im(j)
             if f.b == 0 or f.a == f.b or f.a == f.c:
-                n_real += 1
-                factor = (-re,)
+                factor = (-re,)  # ambiguous form: j is real
             else:
-                n_pairs += 1
-                im = mp.im(j)
-                factor = (re * re + im * im, -2 * re)
-            # one root per real factor, two per quadratic one
+                factor = (re * re + im * im, -2 * re)  # roots j and its conjugate
+            roots += len(factor)
             log2_majorant += len(factor) * float(mp.log(1 + abs(j), 2))
             coeffs = _times_monic(coeffs, factor)
     h = len(forms)
-    assert h == n_real + 2 * n_pairs
+    assert roots == h  # h = #real + 2 #pairs
     return coeffs, ceil(log2(5 * h) + log2_majorant) - wp
 
 
