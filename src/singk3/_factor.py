@@ -1,91 +1,30 @@
-"""Integer factorization for desk-scale inputs.
+"""Integer factorization by trial division, proven or refused.
 
-Trial division up to 10^6 first, then Brent's variant of Pollard rho with a
-deterministic Miller-Rabin primality test.  Everything the package factors
-(discriminants, conductors) stays far below 10^14, so this is plenty.
+Trial division by every candidate up to 10^6 proves that a leftover cofactor
+below 10^12 is prime.  A cofactor of 10^12 or more is neither proven prime
+nor split this way, so factorize raises InputTooLarge rather than guess or
+run unbounded.  The class groups and j-values built on a factorization stop
+being practical long before |d| reaches that size.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
+
+from .errors import InputTooLarge
 
 _TRIAL_LIMIT = 10**6
 
-# Deterministic witness set for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-
-def is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    # Brent's cycle detection; deterministic by trying increments in order.
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 64):
-        y, m = 2, 128
-        g = r = q = 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"rho failed to split {n}")
-
-
-def _factor_into(n: int, out: dict[int, int]) -> None:
-    if n == 1:
-        return
-    if is_probable_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return
-    g = _pollard_rho(n)
-    _factor_into(g, out)
-    _factor_into(n // g, out)
-
-
-@lru_cache(maxsize=65536)
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as a {prime: exponent} dict."""
+    """Prime factorization of n >= 1 as a {prime: exponent} dict.
+
+    Raises InputTooLarge when the part of n without prime factors below
+    10^6 is 10^12 or more.
+    """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
+    original = n
     out: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -100,12 +39,14 @@ def factorize(n: int) -> dict[int, int]:
             limit = min(_TRIAL_LIMIT, isqrt(n))
         else:
             p += 2
+    if n >= _TRIAL_LIMIT * _TRIAL_LIMIT:
+        raise InputTooLarge(
+            f"cannot factor {original}: its part without prime factors below 10^6 "
+            f"is {n}, and trial division proves only such parts below 10^12"
+        )
     if n > 1:
-        if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
-            # Cofactor has no divisor below the trial limit, hence is prime.
-            out[n] = out.get(n, 0) + 1
-        else:
-            _factor_into(n, out)
+        # No divisor up to min(10^6, sqrt(n)) and n < 10^12, hence n is prime.
+        out[n] = out.get(n, 0) + 1
     return out
 
 

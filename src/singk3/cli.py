@@ -76,6 +76,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def scan_bound(text: str) -> int:
+    # scan_one_class_per_genus needs bound >= 4; argparse reports the ValueError
+    value = int(text)
+    if value < 4:
+        raise ValueError(text)
+    return value
+
+
 class _EnvText(str):
     """A flag's default read from the environment variable `name`."""
 
@@ -158,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="one-class-per-genus discriminant scan")
     p.add_argument(
-        "--bound", type=_naming_env(int), default=_env_default("SINGK3_BOUND", "10000")
+        "--bound", type=_naming_env(scan_bound), default=_env_default("SINGK3_BOUND", "10000")
     )
 
     for p in sub.choices.values():
@@ -444,10 +452,10 @@ def run(argv: list[str], out=None) -> int:
     warnings: list[str] = []
     try:
         result = compute(args, warnings)
-    except _USAGE_ERRORS + (ValueError,) as exc:
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SingK3Error as exc:
+    except (SingK3Error, ValueError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 3
     if args.json:

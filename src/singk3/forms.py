@@ -120,7 +120,11 @@ class Form:
         m = _FORM_RE.match(text)
         if m is None:
             raise ParseError(f"expected 'a,b,c' integers, got {text!r}")
-        return cls(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+        try:
+            a, b, c = map(int, m.groups())
+        except ValueError as exc:  # a coefficient over the interpreter's digit limit
+            raise ParseError(f"bad form coefficient: {exc}") from exc
+        return cls(a, b, c)
 
     def as_json(self) -> dict[str, str]:
         # decimal strings so that consumers with 64-bit ints survive

@@ -13,6 +13,11 @@ A coefficient is rounded to an integer only when an explicit bound on its
 error proves the rounding (the lemma and certificate above
 _approximate_coefficients);
 otherwise the working precision is doubled and the pass repeated.
+
+The values returned are immutable and safe to share between threads, but the
+numeric functions here and in k3 set mpmath's process-wide working precision
+(mp.workprec), so they must not run in two threads of one process at once.
+Separate processes are fine.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from math import ceil, exp, log, log2, pi, sqrt
 
 from mpmath import mp, mpc, mpf
 
-from .classgroup import class_group
+from .classgroup import class_group, is_two_torsion
 from .errors import InputTooLarge, PrecisionExhausted
 from .forms import Form
 
@@ -196,7 +201,7 @@ def _approximate_coefficients(d: int, wp: int) -> tuple[list[mpf], int]:
                 continue  # j of (a, -b, c) is the conjugate of j of (a, b, c)
             j = j_of_form(f, wp)
             re, im = mp.re(j), mp.im(j)
-            if f.b == 0 or f.a == f.b or f.a == f.c:
+            if is_two_torsion(f):
                 factor = (-re,)  # ambiguous form: j is real
             else:
                 factor = (re * re + im * im, -2 * re)  # roots j and its conjugate

@@ -238,6 +238,27 @@ def test_computation_errors_exit_3(capsys, monkeypatch):
     assert "not enough bits" in err
 
 
+def test_value_error_in_a_computation_exits_3(capsys, monkeypatch):
+    def boom(d):
+        raise ValueError("internal arithmetic went wrong")
+
+    monkeypatch.setattr(cli, "class_polynomial", boom)
+    assert cli.run(["classpoly", "-23"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["computation failed: internal arithmetic went wrong"]
+
+
+def test_small_scan_bound_and_oversized_coefficient_are_usage_errors(capsys):
+    assert_usage_error(capsys, ["scan", "--bound", "3"])
+    assert_usage_error(capsys, ["bounds", "--form", "1,1," + "1" * 5000])
+
+
+def test_factors_refuses_what_trial_division_cannot_prove(capsys):
+    # 318665857834031151167461 is a strong pseudoprime to the bases 2..37
+    err = assert_usage_error(capsys, ["factors", "--form", "1,0,318665857834031151167461"])
+    assert "10^12" in err
+
+
 def test_env_overrides(capsys, monkeypatch):
     monkeypatch.setenv("SINGK3_PRECISION", "64")
     env = run_json(capsys, ["bounds", "--form", "1,0,1"])
