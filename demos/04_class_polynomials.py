@@ -6,6 +6,8 @@ a monic integer polynomial.  Each coefficient is rounded to an integer only
 when an explicit bound on its numerical error proves the rounding.
 """
 
+from fractions import Fraction
+
 from mpmath import mp
 
 from singk3 import (
@@ -14,7 +16,6 @@ from singk3 import (
     class_number,
     class_polynomial,
     j_of_form,
-    recognize_rational,
 )
 
 # Rational CM points first.  j is the classical invariant, j(i) = 1728; the
@@ -24,9 +25,9 @@ for f, label in ((Form(1, 0, 1), "i"), (Form(1, 0, 4), "2i"), (Form(1, 1, 1), "z
     print(f"j({label}) = {mp.nstr(j, 12)}, j_n({label}) = {mp.nstr(j / 1728, 12)}")
 print()
 
-# Exact recognition: j_n(2i) is the rational 1331/8 = (11/2)^3.
-with mp.workprec(400):
-    print("recognized j_n(2i) =", recognize_rational(j_of_form(Form(1, 0, 4), 400) / 1728, 2**64, 400))
+# Exact values come from the class group, not from the digits: h(-16) = 1, so
+# j(2i) is the one root of H_-16 and j_n(2i) = -H_-16(0)/1728 = 1331/8 = (11/2)^3.
+print("j_n(2i) = -H_-16(0)/1728 =", Fraction(-class_polynomial(-16).coefficients[0], 1728))
 print()
 
 # Class polynomials.  Degree = class number = degree of the ring class field.

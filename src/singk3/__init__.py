@@ -71,7 +71,6 @@ from .modular import (
     ClassPolynomial,
     class_polynomial,
     j_of_form,
-    recognize_rational,
 )
 
 __version__ = "0.1.0"
@@ -126,7 +125,6 @@ __all__ = [
     "multiply",
     "power",
     "principal_form",
-    "recognize_rational",
     "reduced_primitive_forms",
     "scan_one_class_per_genus",
     "shioda_mitani_check",

@@ -41,8 +41,8 @@ def factorize(n: int) -> dict[int, int]:
             p += 2
     if n >= _TRIAL_LIMIT * _TRIAL_LIMIT:
         raise InputTooLarge(
-            f"cannot factor {original}: its part without prime factors below 10^6 "
-            f"is {n}, and trial division proves only such parts below 10^12"
+            f"cannot factor a {original.bit_length()}-bit number: its {n.bit_length()}-bit part "
+            f"without prime factors below 10^6 is 10^12 or more, past what trial division proves"
         )
     if n > 1:
         # No divisor up to min(10^6, sqrt(n)) and n < 10^12, hence n is prime.

@@ -349,8 +349,7 @@ def _run_equation(args, warnings):
     model = kummer_equation(q, prec) if args.kummer else inose_pencil(q, prec)
     if not (isinstance(model.A, Fraction) and isinstance(model.B, Fraction)):
         warnings.append(
-            f"coefficients not recognized as rationals; emitted numerically "
-            f"at {args.precision} digits"
+            f"A and B are not proven rational; emitted numerically at {args.precision} digits"
         )
     return {
         "form": q.as_json(),

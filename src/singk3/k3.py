@@ -17,12 +17,16 @@ When A*B = 0 these specialize via the substitute-one rule (the zero slot of
 the twisting substitution is replaced by 1), which keeps the fibration
 non-degenerate; whether A or B vanishes is decided exactly from the
 discriminants (A = 0 iff d or d' is -3, B = 0 iff d or d' is -4).
+Otherwise A and B are exact only where the class group proves them rational
+(Bilu, Luca, Pizarro-Madariaga 2016): h(d) = 1, or h(d) = 2 with Q primitive
+and not principal.  Every other value is numeric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from mpmath import mp, mpc
 
@@ -38,9 +42,10 @@ from .classgroup import (
 from .errors import InconsistentPair
 from .forms import Form, check_discriminant, principal_form
 from .lattices import TauPair, sm_factors
-from .modular import _GUARD_BITS, DEFAULT_PRECISION_BITS, j_of_form, recognize_rational
+from .modular import _GUARD_BITS, DEFAULT_PRECISION_BITS, _check_j_range, class_polynomial
+from .modular import j_of_form
 
-Value = Fraction | mpc  # exact when recognized, arbitrary-precision complex otherwise
+Value = Fraction | mpc  # exact when proven rational, arbitrary-precision complex otherwise
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,7 @@ class SurfaceClass:
 
 def surface_class(q: Form) -> SurfaceClass:
     d = q.discriminant()
+    _check_j_range(d)  # before any factorization: the surface layer needs j at d
     m = q.content()
     d_prime = q.primitive_part().discriminant()
     fd = fundamental_data(d)
@@ -170,9 +176,8 @@ def analyze(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundsRepo
 
 
 def _normalized_j_pair(q: Form, precision_bits: int) -> tuple[mpc, mpc]:
-    # j_n(tau1), j_n(tau2) with j_n(i) = 1.  Divided with j_of_form's guard
-    # bits: at precision_bits (or mpmath's 53-bit default) the last bits the
-    # pencil's rational recognition and the printed digits rely on are lost.
+    # j_n(tau1), j_n(tau2) with j_n(i) = 1, divided with j_of_form's guard bits:
+    # at precision_bits (or mpmath's 53-bit default) the last digits are lost.
     with mp.workprec(precision_bits + _GUARD_BITS):
         j1 = j_of_form(q.primitive_part(), precision_bits) / 1728
         j2 = j_of_form(principal_form(q.discriminant()), precision_bits) / 1728
@@ -239,7 +244,6 @@ class WeierstrassModel:
 
 def _fmt(v: Fraction) -> str:
     # multiplicative factor rendering: elide 1, parenthesize fractions/negatives
-    v = Fraction(v)
     if v == 1:
         return ""
     if v.denominator == 1 and v.numerator > 0:
@@ -252,17 +256,27 @@ def _pencil_values(q: Form, precision_bits: int):
     a_zero = sc.primitive_discriminant == -3 or sc.discriminant == -3
     b_zero = sc.primitive_discriminant == -4 or sc.discriminant == -4
     assert not (a_zero and b_zero)
-    j1, j2 = _normalized_j_pair(q, precision_bits)
-    with mp.workprec(precision_bits):
-        a_num = j1 * j2
-        b_num = (1 - j1) * (1 - j2)
-        A = Fraction(0) if a_zero else recognize_rational(a_num, 2**64, precision_bits)
-        B = Fraction(0) if b_zero else recognize_rational(b_num, 2**64, precision_bits)
-        if A is None:
-            A = +a_num
-        if B is None:
-            B = +b_num
-    return A, B, a_zero or b_zero
+    values = _rational_pencil_values(sc)
+    if values is None:
+        j1, j2 = _normalized_j_pair(q, precision_bits)
+        with mp.workprec(precision_bits):
+            values = j1 * j2, (1 - j1) * (1 - j2)
+    A, B = values
+    return (Fraction(0) if a_zero else A), (Fraction(0) if b_zero else B), a_zero or b_zero
+
+
+def _rational_pencil_values(sc: SurfaceClass) -> tuple[Fraction, Fraction] | None:
+    # (x - j(tau1)) (x - j(tau2)) is H_d' H_d if h(d) = 1 (Cl(d) maps onto
+    # Cl(d'), so h(d') = 1) and H_d if h(d) = 2 and Q is primitive and not
+    # principal; 1728^2 A and 1728^2 B are its values at 0 and 1728.
+    d = sc.discriminant
+    if class_number(d) == 1:
+        polys = [class_polynomial(sc.primitive_discriminant), class_polynomial(d)]
+    elif class_number(d) == 2 and sc.content == 1 and sc.form.reduced() != principal_form(d):
+        polys = [class_polynomial(d)]
+    else:
+        return None
+    return tuple(Fraction(prod(H.evaluate(x) for H in polys), 1728**2) for x in (0, 1728))
 
 
 def inose_pencil(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> WeierstrassModel:

@@ -60,7 +60,8 @@ class ClassPolynomial:
         return len(self.coefficients) - 1
 
     def evaluate(self, z):
-        acc = mp.mpc(0)
+        # H(z), exact when z is an integer
+        acc = 0
         for coeff in reversed(self.coefficients):
             acc = acc * z + coeff
         return acc
@@ -113,9 +114,10 @@ def j_of_form(f: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpc:
     """j(tau(F)), tau(F) = (-b + sqrt(d))/(2a), with j(i) = 1728.
 
     The form is reduced exactly first; the value is rounded to
-    precision_bits + _GUARD_BITS bits.
+    precision_bits + _GUARD_BITS bits.  |d| > _MAX_J_ABS_D raises InputTooLarge.
     """
     r = f.primitive_part().reduced()
+    _check_j_range(r.discriminant())
     with mp.workprec(precision_bits + _GUARD_BITS):
         tau = mp.mpc(mpf(-r.b), mp.sqrt(-r.discriminant())) / (2 * r.a)
         return +_j_in_fundamental_domain(tau)
@@ -129,6 +131,14 @@ def _height_precision_bits(d: int) -> int:
     xs = [pi * sqrt(-d) / f.a for f in forms]
     log2_height = sum(x / log(2) + log2(1 + 2080 * exp(-x)) for x in xs)
     return ceil(log2_height + log2(len(forms))) + 16
+
+
+_MAX_J_ABS_D = 10**6  # the lemma below is proven up to this |d|; j_of_form refuses more
+
+
+def _check_j_range(d: int) -> None:
+    if -d > _MAX_J_ABS_D:  # a bit length, since str() of a huge d fails
+        raise InputTooLarge(f"j is proven only for |d| <= 10^6, got a {(-d).bit_length()}-bit |d|")
 
 
 # Lemma (accuracy of j_of_form).  Let F be reduced with |d| <= 10^6, j = j(tau_F)
@@ -261,27 +271,6 @@ def class_polynomial(d: int) -> ClassPolynomial:
 
 def _mpf_to_fraction(x: mpf) -> Fraction:
     sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    value = Fraction(man, 1)
-    value = value * 2**exp if exp >= 0 else Fraction(man, 2**-exp)
+    value = man * Fraction(2) ** exp
     return -value if sign else value
 
-
-def recognize_rational(z, max_denominator: int = 2**64, precision_bits: int | None = None):
-    """Nearest rational p/q with q <= max_denominator, if z is that close.
-
-    Returns a Fraction when |z - p/q| < 2^(-precision/2) and the imaginary
-    part is below the same tolerance; otherwise None.
-    """
-    prec = precision_bits if precision_bits is not None else mp.prec
-    with mp.workprec(max(prec, 53)):
-        w = mp.mpmathify(z)
-        tol = mp.mpf(2) ** -(prec // 2)
-        if abs(mp.im(w)) > tol:
-            return None
-        x = mp.re(w)
-        cand = _mpf_to_fraction(x).limit_denominator(max_denominator)
-        if abs(x - mp.mpf(cand.numerator) / cand.denominator) < tol:
-            return cand
-    return None

@@ -3,10 +3,13 @@
 Nothing here calls the reduction, composition, or genus code paths it is
 meant to check: equivalence is decided by searching over unimodular words,
 class numbers by the classical conductor formula, symbols by exponentiation.
-Two exceptions build on production routes and so check only what sits on
+Three exceptions build on production routes and so check only what sits on
 top of them: reference_decomposition composes forms to check the
-group-structure decomposition, and reference_class_polynomial evaluates j
-with singk3.modular.j_of_form to check the certified product and rounding.
+group-structure decomposition, reference_class_polynomial evaluates j
+with singk3.modular.j_of_form to check the certified product and rounding,
+and pencil_conjugates moves classes with singk3's composition and lattice
+multiplication and evaluates j_of_form to check which pencil coefficients
+singk3.k3 emits as exact rationals.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
-from math import ceil
+from functools import lru_cache
+from math import ceil, isqrt
 
 from singk3.forms import Form
 
@@ -235,3 +239,78 @@ def reference_class_polynomial(d: int) -> tuple[int, ...]:
         prev = cur
         wp *= 2
     raise RuntimeError(f"reference class polynomial for d={d} did not stabilize")
+
+
+def reduced_forms(max_abs_d: int):
+    """Every reduced form (a, b, c), primitive or not, with 3 <= |d| <= max_abs_d."""
+    for n in range(3, max_abs_d + 1):
+        for a in range(1, isqrt(n // 3) + 1):
+            for b in range(-a + 1, a + 1):
+                c, rem = divmod(b * b + n, 4 * a)
+                if rem == 0 and c >= a and (a != c or b >= 0):
+                    yield Form(a, b, c)
+
+
+PENCIL_ORACLE_BITS = 300
+
+
+@lru_cache(maxsize=None)
+def _normalized_j(f: Form):
+    from mpmath import mp
+
+    from singk3.modular import j_of_form
+
+    with mp.workprec(PENCIL_ORACLE_BITS):
+        return j_of_form(f, PENCIL_ORACLE_BITS) / 1728
+
+
+def pencil_conjugates(q: Form) -> tuple[list, list]:
+    """The K-conjugates of the pencil coefficients A and B of q, K = Q(sqrt(d)).
+
+    A = j_n(tau1) j_n(tau2) and B = (1 - j_n(tau1)) (1 - j_n(tau2)), where
+    tau1 is the CM point of the primitive part q' (discriminant d') and tau2
+    that of the principal form of d.  The automorphism of the ring class
+    field of d attached to c in Cl(d) sends j(tau2) to j(c) and j(tau1) to
+    j(q' pi(c)), with pi: Cl(d) -> Cl(d') the extension of ideals to the
+    larger order, read off lattice multiplication by the order of d'.  The
+    first entry of each list (c principal) is A, respectively B, itself.
+    Values are computed at PENCIL_ORACLE_BITS bits.
+    """
+    from mpmath import mp
+
+    from singk3.classgroup import class_group
+    from singk3.forms import compose, principal_form
+    from singk3.lattices import lattice_from_form, multiply
+
+    qp = q.primitive_part().reduced()
+    d = q.discriminant()
+    order = lattice_from_form(principal_form(qp.discriminant()))
+    classes = sorted(class_group(d).elements, key=lambda c: c != principal_form(d))
+    a_values, b_values = [], []
+    with mp.workprec(PENCIL_ORACLE_BITS):
+        for c in classes:
+            image = multiply(lattice_from_form(c), order).canonical_form
+            j1, j2 = _normalized_j(compose(qp, image)), _normalized_j(c)
+            a_values.append(j1 * j2)
+            b_values.append((1 - j1) * (1 - j2))
+    return a_values, b_values
+
+
+def pencil_values_agree(x, y) -> bool:
+    """Equality of two values at the oracle's precision: within 2^-150 relative."""
+    from mpmath import mp
+
+    with mp.workprec(PENCIL_ORACLE_BITS):
+        x, y = mp.mpmathify(x), mp.mpmathify(y)
+        return abs(x - y) <= mp.mpf(2) ** -150 * max(1, abs(x), abs(y))
+
+
+def rational_by_conjugates(conjugates) -> bool:
+    """Whether the number with these K-conjugates is rational: its conjugates
+    over Q, the K-conjugates and their complex conjugates, all agree."""
+    from mpmath import mp
+
+    first = conjugates[0]
+    return pencil_values_agree(first, mp.conj(first)) and all(
+        pencil_values_agree(v, first) for v in conjugates
+    )

@@ -34,7 +34,7 @@ from singk3.lattices import (
     multiply,
     sm_factors,
 )
-from singk3.modular import class_polynomial, j_of_form, recognize_rational
+from singk3.modular import class_polynomial, j_of_form
 
 from oracles import random_form
 
@@ -234,16 +234,17 @@ def test_criterion_09_j_normalization():
     prec = 428
     jn_i = analyze(Form(1, 0, 1), prec).j_tau1_normalized
     ok = abs(jn_i - 1) <= mp.mpf(2) ** (-prec + 16)
-    jn_2i = analyze(Form(1, 0, 4), prec).j_tau1_normalized
-    got = recognize_rational(jn_2i, 2**64, prec)
-    # oracle: same series at quadruple precision
-    jn_2i_hi = analyze(Form(1, 0, 4), 4 * prec).j_tau1_normalized
-    oracle = recognize_rational(jn_2i_hi, 2**64, 4 * prec)
-    ok &= got == oracle == Fraction(1331, 8)
+    # j_n(2i) = 1331/8, at the default precision and at quadruple precision
+    for bits in (prec, 4 * prec):
+        jn_2i = analyze(Form(1, 0, 4), bits).j_tau1_normalized
+        with mp.workprec(bits + 64):
+            ok &= abs(jn_2i - mp.mpf(1331) / 8) <= mp.mpf(2) ** (-bits + 16)
+    # and the pencil of (2,0,2), A = j_n(i) j_n(2i), takes it exactly
+    ok &= inose_pencil(Form(2, 0, 2)).A == Fraction(1331, 8)
     j2i = j_of_form(Form(1, 0, 4), prec)
     j2i_hi = j_of_form(Form(1, 0, 4), 4 * prec)
     ok &= abs(j2i - j2i_hi) <= mp.mpf(2) ** (-prec + 20) * abs(j2i_hi)
-    _report(9, "j_n(i) = 1 and j_n(2i) recognized as 1331/8 against 4x-precision oracle", ok)
+    _report(9, "j_n(i) = 1, j_n(2i) = 1331/8 at 1x and 4x precision, exact in the pencil", ok)
 
 
 def test_criterion_10_inose_degenerate_and_base_change():

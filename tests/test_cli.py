@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from singk3 import cli
@@ -94,6 +95,34 @@ def test_equation_numeric_warns(capsys):
     env = run_json(capsys, ["equation", "--form", "2,1,3", "--precision", "48"])
     assert env["result"]["A"]["type"] == "complex"
     assert any("numerically" in w for w in env["warnings"])
+
+
+def test_equation_claims_no_unproven_rational(capsys):
+    # A and B here are irrational; their values merely lie near fractions
+    res = run_json(capsys, ["equation", "--form", "1,0,100", "--precision", "36"])["result"]
+    assert (res["A"]["type"], res["B"]["type"]) == ("complex", "complex")
+    res = run_json(capsys, ["equation", "--form", "1,1,313"])["result"]
+    assert res["B"]["type"] == "complex"
+
+
+def test_equation_is_exact_where_the_class_group_proves_it(capsys):
+    # h(-15) = 2 and (2,1,2) is not principal: 1728^2 A = H_-15(0)
+    res = run_json(capsys, ["equation", "--form", "2,1,2"])["result"]
+    assert res["A"] == {"type": "rational", "value": str(Fraction(-121287375, 1728**2))}
+    assert res["B"]["type"] == "rational"
+
+
+def test_equation_at_the_j_size_limit(capsys):
+    # d = -10^6: the largest |d| the j accuracy lemma covers; printing an
+    # unproven "exact" 3*A*B of more than 4300 digits used to fail here
+    assert cli.run(["equation", "--form", "1,0,250000"]) == 0
+    assert "A = " in capsys.readouterr().out
+
+
+def test_bounds_and_equation_refuse_discriminants_beyond_the_j_lemma(capsys):
+    for verb in ("bounds", "equation"):
+        err = assert_usage_error(capsys, [verb, "--form", "1,0,10000000000"])
+        assert "10^6" in err
 
 
 def test_classpoly_verb(capsys):
@@ -256,6 +285,13 @@ def test_small_scan_bound_and_oversized_coefficient_are_usage_errors(capsys):
 def test_factors_refuses_what_trial_division_cannot_prove(capsys):
     # 318665857834031151167461 is a strong pseudoprime to the bases 2..37
     err = assert_usage_error(capsys, ["factors", "--form", "1,0,318665857834031151167461"])
+    assert "10^12" in err
+
+
+def test_factoring_refusal_of_a_number_too_long_to_print(capsys):
+    # d has about 6000 digits, past Python's 4300-digit limit on str(int)
+    sevens = "7" * 3000
+    err = assert_usage_error(capsys, ["factors", "--form", f"{sevens},1,{sevens}"])
     assert "10^12" in err
 
 

@@ -19,7 +19,13 @@ from singk3.k3 import (
 )
 from singk3.lattices import QuadElement, galois_orbit_classes, sm_factors
 
-from oracles import random_form
+from oracles import (
+    pencil_conjugates,
+    pencil_values_agree,
+    random_form,
+    rational_by_conjugates,
+    reduced_forms,
+)
 
 
 def test_surface_class_invariants():
@@ -208,6 +214,41 @@ def test_inose_pencil_rational_recognition_norm_case():
     assert model.A == Fraction(-121287375, 1728**2)
     assert model.B == 1 + Fraction(191025, 1728) + Fraction(-121287375, 1728**2)
     assert not model.degenerate_rule_applied
+
+
+def _check_pencils_against_galois_oracle(forms) -> tuple[int, int]:
+    # A and B are Fractions exactly where their Galois conjugates prove them
+    # rational, at the default precision and at 128 bits (where large values
+    # lie closest to fractions with small denominators), and every default
+    # precision value, exact or numeric, equals the oracle's; returns how many
+    # A and how many B were exact
+    exact = [0, 0]
+    for q in forms:
+        model, coarse = inose_pencil(q), inose_pencil(q, 128)
+        for i, conjugates in enumerate(pencil_conjugates(q)):
+            rational = rational_by_conjugates(conjugates)
+            value = (model.A, model.B)[i]
+            assert isinstance(value, Fraction) == rational, (q, i)
+            assert isinstance((coarse.A, coarse.B)[i], Fraction) == rational, (q, i)
+            assert pencil_values_agree(value, conjugates[0]), (q, i)
+            exact[i] += rational
+    return exact[0], exact[1]
+
+
+def test_pencil_exactness_matches_galois_oracle_to_300():
+    exact_a, exact_b = _check_pencils_against_galois_oracle(reduced_forms(300))
+    assert exact_a > 0 and exact_b > 0
+
+
+@pytest.mark.slow
+def test_pencil_exactness_matches_galois_oracle_to_2000():
+    # every reduced form with |d| <= 2000; the 9348 with b >= 0 hold the 68
+    # rational A and 66 rational B that the class-group rule predicts
+    forms = list(reduced_forms(2000))
+    upper = [q for q in forms if q.b >= 0]
+    assert len(upper) == 9348
+    assert _check_pencils_against_galois_oracle(upper) == (68, 66)
+    _check_pencils_against_galois_oracle(q for q in forms if q.b < 0)
 
 
 def test_generic_equation_is_symbolic_when_inexact():

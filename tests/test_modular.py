@@ -19,7 +19,6 @@ from singk3.modular import (
     _series_terms,
     class_polynomial,
     j_of_form,
-    recognize_rational,
 )
 
 from oracles import (
@@ -58,9 +57,10 @@ def test_j_at_i():
 def test_j_at_2i():
     j = j_of_form(Form(1, 0, 4), 300)
     assert abs(j - 287496) < mp.mpf(2) ** (-260)
+    # within the accuracy lemma's bound of j(2i) = -H_-16(0) = 287496 = 66^3
+    assert class_polynomial(-16).coefficients == (-287496, 1)
     with mp.workprec(300):
-        assert recognize_rational(j / 1728, 2**64, 300) == Fraction(1331, 8)
-    # 287496 = 66^3
+        assert abs(j - 287496) <= mp.mpf(2) ** -300 * (1 + abs(j))
     assert 66**3 == 287496
 
 
@@ -243,14 +243,23 @@ def test_class_polynomial_json():
     assert [int(s) for s in arr] == list(poly.coefficients)
 
 
-def test_recognize_rational():
-    with mp.workprec(260):
-        assert recognize_rational(j_of_form(Form(1, 0, 1), 260) / 1728, 2**64, 260) == 1
-    # real but irrational: the principal j of discriminant -23
-    assert recognize_rational(j_of_form(Form(1, 1, 6), 400), 2**64, 400) is None
-    # genuinely complex input
-    assert recognize_rational(j_of_form(Form(2, 1, 3), 400), 2**64, 400) is None
-    assert recognize_rational(mp.mpf("0.5"), 2**64, 200) == Fraction(1, 2)
+def test_j_of_form_refuses_discriminants_beyond_the_lemma():
+    assert modular._MAX_J_ABS_D == 10**6
+    j_of_form(Form(1, 1, 250000), 64)  # d = -999999
+    # the lemma concerns the primitive part: here (1, 0, 1), though d = -16 * 10^6
+    assert abs(j_of_form(Form(2000, 0, 2000), 64) - 1728) < 2**-40
+    with pytest.raises(InputTooLarge, match=r"10\^6"):
+        j_of_form(Form(1, 0, 250001), 64)
+    huge = Form(1, 1, 10**5000)  # str() of this d would exceed Python's digit limit
+    with pytest.raises(InputTooLarge, match="bit"):
+        j_of_form(huge, 64)
+
+
+def test_class_polynomial_evaluates_integers_exactly():
+    poly = class_polynomial(-15)  # x^2 + 191025 x - 121287375
+    assert poly.evaluate(0) == -121287375
+    assert poly.evaluate(1728) == 1728**2 + 191025 * 1728 - 121287375
+    assert isinstance(poly.evaluate(1728), int)
 
 
 def test_j_real_iff_two_torsion():
