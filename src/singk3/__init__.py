@@ -10,6 +10,8 @@ upper/lower bounds (sometimes exact answers) for the degree of the field of
 definition.
 """
 
+import importlib
+
 from .classgroup import (
     ClassGroup,
     FundamentalData,
@@ -41,37 +43,36 @@ from .errors import (
     SingK3Error,
 )
 from .forms import Form, compose, power, principal_form
-from .k3 import (
-    BoundsReport,
-    SurfaceClass,
-    WeierstrassModel,
-    analyze,
-    genus_of_transcendental_lattice,
-    inose_pencil,
-    kummer_equation,
-    kummer_reduction,
-    lem_bounds_applies,
-    surface_class,
-)
-from .lattices import (
-    QuadElement,
-    QuadLattice,
-    TauPair,
-    galois_orbit_classes,
-    homothety_equal,
-    lattice_from_form,
-    minimal_form,
-    multiply,
-    shioda_mitani_check,
-    sm_factors,
-    tau_from_form,
-)
-from .modular import (
-    DEFAULT_PRECISION_BITS,
-    ClassPolynomial,
-    class_polynomial,
-    j_of_form,
-)
+
+# Names of the numeric layers, imported on first use: the class group verbs
+# never need mpmath or the layers built on it.
+_LAZY = {
+    "BoundsReport": "k3",
+    "SurfaceClass": "k3",
+    "WeierstrassModel": "k3",
+    "analyze": "k3",
+    "genus_of_transcendental_lattice": "k3",
+    "inose_pencil": "k3",
+    "kummer_equation": "k3",
+    "kummer_reduction": "k3",
+    "lem_bounds_applies": "k3",
+    "surface_class": "k3",
+    "QuadElement": "lattices",
+    "QuadLattice": "lattices",
+    "TauPair": "lattices",
+    "galois_orbit_classes": "lattices",
+    "homothety_equal": "lattices",
+    "lattice_from_form": "lattices",
+    "minimal_form": "lattices",
+    "multiply": "lattices",
+    "shioda_mitani_check": "lattices",
+    "sm_factors": "lattices",
+    "tau_from_form": "lattices",
+    "DEFAULT_PRECISION_BITS": "modular",
+    "ClassPolynomial": "modular",
+    "class_polynomial": "modular",
+    "j_of_form": "modular",
+}
 
 __version__ = "0.1.0"
 
@@ -132,3 +133,10 @@ __all__ = [
     "surface_class",
     "tau_from_form",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

@@ -1,7 +1,10 @@
 """Class groups Cl(d), genus theory, and one-class-per-genus scans.
 
-Cl(d) is enumerated as the set of reduced primitive forms of discriminant d
-via the bound |b| <= a <= sqrt(|d|/3).  The abelian group structure is found
+Cl(d) is enumerated as the set of reduced primitive forms (a, b, c) of
+discriminant d, a <= sqrt(|d|/3) and |b| <= a.  For each a the b are the
+roots of b^2 = d (mod 4a), solved modulo the prime powers of a (Tonelli-Shanks
+and Hensel lifting, or a search where p = 2 or p | d) and combined by CRT;
+below a = 32 every b is tested instead.  The abelian group structure is found
 by greedy composition walks, a few compositions per class, the genus
 partition as cosets of the subgroup of squares, with classical assigned
 characters kept as an independent cross-check.  One class per genus is
@@ -17,7 +20,7 @@ from math import gcd, isqrt, prod
 from typing import Iterable, Iterator
 
 from ._factor import factorize, squarefree_decomposition
-from .errors import ImprimitiveInput, NotReduced
+from .errors import ImprimitiveInput, InputTooLarge, NotReduced
 from .forms import Form, check_discriminant, compose, form_sort_key, power, principal_form
 
 # Entries per discriminant cache.  A long-lived process must not grow without
@@ -27,13 +30,124 @@ from .forms import Form, check_discriminant, compose, form_sort_key, power, prin
 # perfbench session workload, seed 101) fill 870.
 _CACHE_SIZE = 1024
 
+# Size limits, set so that the slowest accepted input takes well under 45 s:
+# near |d| = 10^10, h reaches 236606 and `genus d --json` takes 13 s (330 MB);
+# `scan --bound 4000000` takes 21 s.
+_MAX_CLASS_GROUP_ABS_D = 10**10
+_MAX_SCAN_BOUND = 4 * 10**6
+
+
+# Below this a, testing every b of the right parity in (-a, a] is cheaper than
+# factoring a and solving for b.  Most discriminants that a scan visits meet
+# a form off the boundary below it and never reach the solver.
+_SEARCH_BELOW = 32
+_PRIMES_BELOW_SEARCH = tuple(p for p in range(2, _SEARCH_BELOW) if all(p % q for q in range(2, p)))
+
+
+def _sqrt_mod_prime(n: int, p: int) -> int | None:
+    """A square root of n modulo the odd prime p, p not dividing n; None if n is a non-residue."""
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    # Tonelli-Shanks (Cohen, Alg. 1.5.1): p - 1 = 2^e * q with q odd
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    y, r = pow(z, q, p), e
+    x, b = pow(n, (q + 1) // 2, p), pow(n, q, p)
+    while b != 1:
+        m, t = 0, b
+        while t != 1:
+            t = t * t % p
+            m += 1
+        t = pow(y, 1 << (r - m - 1), p)
+        y = t * t % p
+        r = m
+        x = x * t % p
+        b = b * y % p
+    return x
+
+
+def _k_roots(p: int, q: int, d: int) -> tuple[int, ...]:
+    """Roots k modulo q = p^e of k^2 + eps*k + (eps - d)/4, eps = d mod 2."""
+    eps = d & 1
+    if p != 2 and d % p:
+        # k = (s - eps)/2 with s^2 = d: a root mod p, lifted by Newton's method
+        s = _sqrt_mod_prime(d % p, p)
+        if s is None:
+            return ()
+        while (s * s - d) % q:
+            s = (s - (s * s - d) * pow(2 * s, -1, q)) % q
+        half = (q + 1) // 2
+        return ((s - eps) * half % q, (-s - eps) * half % q)
+    # p = 2 or p | d: lift the roots mod p^j to p^(j+1) by testing every lift
+    m = (eps - d) // 4
+    roots, pj = [0], 1
+    while pj < q:
+        nxt = pj * p
+        roots = [x for r in roots for x in range(r, nxt, pj) if (x * x + eps * x + m) % nxt == 0]
+        pj = nxt
+    return tuple(roots)
+
+
+def _solved_b(d: int, amax: int) -> Iterator[tuple[int, list[int]]]:
+    """(a, the sorted b in (-a, a] with b^2 = d (mod 4a)) for a = _SEARCH_BELOW, ..., amax.
+
+    With b = 2k + eps, b^2 = d (mod 4a) is k^2 + eps*k + (eps - d)/4 = 0 (mod a),
+    and b mod 2a runs over (-a, a] as k runs mod a.  The roots mod a are
+    combined by CRT from the roots modulo the prime powers of a (Cohen, Sec.
+    5.3).  a is factored by an incremental sieve, which holds a prime from its
+    square on, and a prime power's roots are found when first needed, so
+    nothing is computed for an a the caller does not reach.
+    """
+    eps = d & 1
+    sieve: dict[int, list[int]] = {}  # next multiple -> the primes p <= sqrt of it that divide it
+    for p in _PRIMES_BELOW_SEARCH:
+        if p * p <= amax:
+            sieve.setdefault(max(p * p, -(-_SEARCH_BELOW // p) * p), []).append(p)
+    roots_mod: dict[int, tuple[int, ...]] = {}
+    for a in range(_SEARCH_BELOW, amax + 1):
+        primes = sieve.pop(a, None)
+        if primes is None:  # a is prime
+            if a * a <= amax:
+                sieve[a * a] = [a]
+            parts = [(a, a)]
+        else:
+            n, parts = a, []
+            for p in primes:
+                if a + p <= amax:
+                    sieve.setdefault(a + p, []).append(p)
+                q = p
+                n //= p
+                while n % p == 0:
+                    n //= p
+                    q *= p
+                parts.append((p, q))
+            if n > 1:  # the one prime factor above sqrt(a)
+                parts.append((n, n))
+        mod, ks = 1, [0]
+        for p, q in parts:
+            rq = roots_mod.get(q)
+            if rq is None:
+                rq = roots_mod[q] = _k_roots(p, q, d)
+            inv = pow(mod, -1, q)
+            ks = [k + mod * ((r - k) * inv % q) for k in ks for r in rq]
+            mod *= q
+        two_a = 2 * a
+        yield a, sorted(b - two_a if b > a else b for b in (2 * k + eps for k in ks))
+
 
 def iter_reduced_primitive_forms(d: int) -> Iterator[Form]:
-    """Yield every reduced primitive form of discriminant d (loop order: a, then b)."""
+    """Yield every reduced primitive form of discriminant d, ordered by a, then by b."""
     check_discriminant(d)
     amax = isqrt(-d // 3)
     parity = d & 1
-    for a in range(1, amax + 1):
+    for a in range(1, min(amax, _SEARCH_BELOW - 1) + 1):
         four_a = 4 * a
         b = -a + 1
         if (b & 1) != parity:
@@ -45,9 +159,18 @@ def iter_reduced_primitive_forms(d: int) -> Iterator[Form]:
                 if c >= a and (a != c or b >= 0) and gcd(gcd(a, b), c) == 1:
                     yield Form(a, b, c)
             b += 2
+    for a, bs in _solved_b(d, amax):
+        four_a = 4 * a
+        for b in bs:
+            c = (b * b - d) // four_a
+            if c >= a and (a != c or b >= 0) and gcd(gcd(a, b), c) == 1:
+                yield Form(a, b, c)
 
 
 def reduced_primitive_forms(d: int) -> tuple[Form, ...]:
+    """Cl(d) as its reduced primitive forms, sorted; |d| above 10^10 raises InputTooLarge."""
+    if check_discriminant(d) < -_MAX_CLASS_GROUP_ABS_D:
+        raise InputTooLarge("class groups are limited to |d| <= 10^10")
     return tuple(sorted(iter_reduced_primitive_forms(d), key=form_sort_key))
 
 
@@ -204,17 +327,20 @@ def is_one_class_per_genus(d: int) -> bool:
     Decided form by form with the boundary test, stopping at the first
     form off the boundary; tests cross-check it against classes_per_genus.
     """
-    return all(_on_boundary(f) for f in iter_reduced_primitive_forms(d))
+    return all(map(_on_boundary, iter_reduced_primitive_forms(d)))
 
 
 def scan_one_class_per_genus(bound: int) -> list[int]:
     """All discriminants |d| <= bound with one class per genus, sorted by |d|.
 
     Completeness beyond the bound is not claimed (classically at most one
-    further discriminant, of very large absolute value, could exist).
+    further discriminant, of very large absolute value, could exist).  A
+    bound above 4 * 10^6 raises InputTooLarge.
     """
     if bound < 4:
         raise ValueError("bound must be >= 4")
+    if bound > _MAX_SCAN_BOUND:
+        raise InputTooLarge(f"scan bounds are limited to {_MAX_SCAN_BOUND}")
     return [-n for n in range(3, bound + 1) if n % 4 in (0, 3) and is_one_class_per_genus(-n)]
 
 

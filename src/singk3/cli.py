@@ -4,7 +4,9 @@ Verbs: classgroup, genus, bounds, factors, equation, classpoly, scan.
 Every verb supports --json, which wraps the payload in a stable envelope
 {schema_version, command, result, warnings}.  Flags can also be supplied via
 environment variables with the SINGK3_ prefix (SINGK3_PRECISION,
-SINGK3_BOUND, SINGK3_JSON, SINGK3_KUMMER).
+SINGK3_BOUND, SINGK3_JSON, SINGK3_KUMMER).  fractions, mpmath and the k3,
+lattices and modular layers are imported inside the verbs that use them, so
+classgroup, genus and scan start without them.
 
 Exit codes: 0 success, 1 stdout closed before all output was written (e.g.
 piped into `head`; reported without a traceback), 2 usage error (a bad
@@ -18,10 +20,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
-
-from mpmath import mp
-from mpmath.libmp import dps_to_prec
 
 from . import __version__
 from .classgroup import (
@@ -41,9 +39,6 @@ from .errors import (
     SingK3Error,
 )
 from .forms import Form, form_sort_key
-from .k3 import analyze, inose_pencil, kummer_equation, kummer_reduction
-from .lattices import QuadElement, lattice_from_form, sm_factors
-from .modular import class_polynomial
 
 SCHEMA_VERSION = "4"
 
@@ -179,13 +174,17 @@ def _form_list(forms) -> list[dict]:
 
 
 def _value_json(v, digits: int) -> dict:
+    from fractions import Fraction
+
+    from mpmath import mp
+
     if isinstance(v, Fraction):
         return {"type": "rational", "value": str(v)}
     re, im = (mp.nstr(x, digits, strip_zeros=False) for x in (mp.re(v), mp.im(v)))
     return {"type": "complex", "re": re, "im": im}
 
 
-def _tau_json(tau: QuadElement) -> dict:
+def _tau_json(tau) -> dict:
     return {
         "d_K": tau.field_discriminant,
         "x": [tau.x.numerator, tau.x.denominator],
@@ -205,6 +204,8 @@ def _value_str(v: dict) -> str:
 
 
 def _quad_str(t: dict) -> str:
+    from fractions import Fraction
+
     x = Fraction(t["x"][0], t["x"][1])
     y = Fraction(t["y"][0], t["y"][1])
     return f"({x} + {y}*sqrt({t['d_K']}))"
@@ -255,6 +256,10 @@ def _render_genus(result, out):
 
 
 def _run_bounds(args, warnings):
+    from mpmath.libmp import dps_to_prec
+
+    from .k3 import analyze
+
     q = Form.from_text(args.form)
     report = analyze(q, dps_to_prec(args.precision))
     sc = report.surface
@@ -298,6 +303,9 @@ def _render_bounds(result, out):
 
 
 def _run_factors(args, warnings):
+    from .k3 import kummer_reduction
+    from .lattices import lattice_from_form, sm_factors
+
     q = Form.from_text(args.form)
     pair = sm_factors(q)
     lat = lattice_from_form(q)
@@ -344,6 +352,12 @@ def _render_factors(result, out):
 
 
 def _run_equation(args, warnings):
+    from fractions import Fraction
+
+    from mpmath.libmp import dps_to_prec
+
+    from .k3 import inose_pencil, kummer_equation
+
     q = Form.from_text(args.form)
     prec = dps_to_prec(args.precision)
     model = kummer_equation(q, prec) if args.kummer else inose_pencil(q, prec)
@@ -372,6 +386,8 @@ def _render_equation(result, out):
 
 
 def _run_classpoly(args, warnings):
+    from .modular import class_polynomial
+
     poly = class_polynomial(args.d)
     return {
         "d": args.d,

@@ -241,14 +241,24 @@ def reference_class_polynomial(d: int) -> tuple[int, ...]:
     raise RuntimeError(f"reference class polynomial for d={d} did not stabilize")
 
 
+def reference_forms(d: int):
+    """Every reduced form (a, b, c) of discriminant d, primitive or not, by a, then by b.
+
+    Tests every b of the parity of d with |b| <= a <= sqrt(|d|/3), about |d|/6
+    divisibility tests, where singk3.classgroup solves b^2 = d (mod 4a).
+    """
+    for a in range(1, isqrt(-d // 3) + 1):
+        for b in range(-a + 1 + (a + 1 + d) % 2, a + 1, 2):
+            c, rem = divmod(b * b - d, 4 * a)
+            if rem == 0 and c >= a and (a != c or b >= 0):
+                yield Form(a, b, c)
+
+
 def reduced_forms(max_abs_d: int):
     """Every reduced form (a, b, c), primitive or not, with 3 <= |d| <= max_abs_d."""
     for n in range(3, max_abs_d + 1):
-        for a in range(1, isqrt(n // 3) + 1):
-            for b in range(-a + 1, a + 1):
-                c, rem = divmod(b * b + n, 4 * a)
-                if rem == 0 and c >= a and (a != c or b >= 0):
-                    yield Form(a, b, c)
+        if n % 4 in (0, 3):
+            yield from reference_forms(-n)
 
 
 PENCIL_ORACLE_BITS = 300

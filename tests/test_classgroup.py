@@ -14,13 +14,19 @@ from singk3.classgroup import (
     genus_partition,
     is_one_class_per_genus,
     is_two_torsion,
+    iter_reduced_primitive_forms,
     scan_one_class_per_genus,
 )
 from singk3._factor import factorize
 from singk3.errors import ImprimitiveInput, InvalidDiscriminant, NotReduced
 from singk3.forms import Form, compose, power, principal_form
 
-from oracles import KNOWN_CLASS_NUMBERS, class_number_oracle, reference_decomposition
+from oracles import (
+    KNOWN_CLASS_NUMBERS,
+    class_number_oracle,
+    reference_decomposition,
+    reference_forms,
+)
 
 VALID = [-n for n in range(3, 2001) if n % 4 in (0, 3)]
 
@@ -34,6 +40,47 @@ def test_enumerate_examples():
     assert set(class_group(-56).elements) == {
         Form(1, 0, 14), Form(2, 0, 7), Form(3, 2, 5), Form(3, -2, 5),
     }
+
+
+# the structure workload's 40 discriminants, |d| in 10^6 - 10^7, h 170 - 680
+POOLED_STRUCTURE = (
+    -8900112, -8593188, -8323968, -7826571, -7507427, -6784603, -6262675, -5675499,
+    -5189803, -5084003, -5006931, -4674448, -4043912, -3872083, -3237604, -2893388,
+    -2890760, -2695688, -2474752, -2398915, -2114184, -2050427, -2032995, -1854559,
+    -1801731, -1757243, -1685064, -1526647, -1485528, -1465783, -1449387, -1440067,
+    -1277220, -1215827, -1210328, -1139072, -1104487, -1086236, -1056472, -1049892,
+)
+# high powers of 2, 3, 5 and 7 dividing d, where the roots mod p^e are lifted by search
+PRIME_POWER_HEAVY = (-(2**21), -4 * 3**11, -(3**13), -4 * 7**6, -4 * 5**8 * 3)
+
+
+def assert_enumeration_matches_reference(d):
+    # the same forms in the same order: by a, then by b
+    expected = [f for f in reference_forms(d) if f.is_primitive()]
+    assert list(iter_reduced_primitive_forms(d)) == expected, d
+
+
+def test_enumeration_matches_the_reference_loop():
+    for n in range(3, 5001):
+        if n % 4 in (0, 3):
+            assert_enumeration_matches_reference(-n)
+    for d in POOLED_STRUCTURE + PRIME_POWER_HEAVY + (-10000003,):
+        assert_enumeration_matches_reference(d)
+
+
+def test_square_roots_modulo_primes():
+    # p = 3 mod 4, p = 5 mod 8, and p = 1 mod 8 with 2^e exactly dividing p - 1 for e <= 8
+    for p in (3, 7, 5, 13, 17, 41, 97, 193, 1153, 257, 769):
+        squares = {x * x % p for x in range(1, p)}
+        for n in range(1, p):
+            s = classgroup._sqrt_mod_prime(n, p)
+            assert (s is not None) == (n in squares), (n, p)
+            assert s is None or s * s % p == n, (n, p)
+
+
+@pytest.mark.slow
+def test_enumeration_matches_the_reference_loop_at_h_7253():
+    assert_enumeration_matches_reference(-100000007)
 
 
 def test_class_numbers_against_independent_oracle():

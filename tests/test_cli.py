@@ -2,10 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
-from singk3 import cli
+from singk3 import cli, modular
 from singk3.errors import PrecisionExhausted
 from singk3.forms import Form
 
@@ -152,6 +153,19 @@ def test_classpoly_over_the_size_limit_is_usage_error(capsys):
     assert str(_MAX_CLASSPOLY_ABS_D) in err and "-1000003" in err
 
 
+def test_inputs_past_the_class_group_and_scan_limits_are_usage_errors(capsys):
+    from singk3.classgroup import _MAX_CLASS_GROUP_ABS_D, _MAX_SCAN_BOUND
+
+    # the smallest discriminant past each limit; refused before any enumeration
+    for verb in ("classgroup", "genus"):
+        start = time.perf_counter()
+        err = assert_usage_error(capsys, [verb, str(-_MAX_CLASS_GROUP_ABS_D - 3)])
+        assert "10^10" in err and time.perf_counter() - start < 1
+    start = time.perf_counter()
+    err = assert_usage_error(capsys, ["scan", "--bound", str(_MAX_SCAN_BOUND + 1)])
+    assert str(_MAX_SCAN_BOUND) in err and time.perf_counter() - start < 1
+
+
 def test_scan_verb(capsys):
     env = run_json(capsys, ["scan", "--bound", "100"])
     res = env["result"]
@@ -257,11 +271,34 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def modules_left_loaded(argv) -> str:
+    # which of the numeric layers a fresh interpreter holds after the command
+    code = (
+        "import sys; from singk3.cli import run; run(sys.argv[1:]); "
+        "print(sorted(m for m in ('mpmath', 'singk3.k3', 'singk3.lattices', 'singk3.modular') "
+        "if m in sys.modules), file=sys.stderr)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    return proc.stderr.strip().splitlines()[-1]
+
+
+def test_class_group_verbs_load_no_numeric_layer():
+    for argv in (["classgroup", "-23"], ["genus", "-56"], ["scan", "--bound", "100"], ["--version"]):
+        assert modules_left_loaded(argv) == "[]", argv
+
+
+def test_classpoly_loads_neither_k3_nor_lattices():
+    assert modules_left_loaded(["classpoly", "-23"]) == "['mpmath', 'singk3.modular']"
+
+
 def test_computation_errors_exit_3(capsys, monkeypatch):
     def boom(d):
         raise PrecisionExhausted("not enough bits")
 
-    monkeypatch.setattr(cli, "class_polynomial", boom)
+    monkeypatch.setattr(modular, "class_polynomial", boom)
     assert cli.run(["classpoly", "-23"]) == 3
     err = capsys.readouterr().err
     assert "not enough bits" in err
@@ -271,7 +308,7 @@ def test_value_error_in_a_computation_exits_3(capsys, monkeypatch):
     def boom(d):
         raise ValueError("internal arithmetic went wrong")
 
-    monkeypatch.setattr(cli, "class_polynomial", boom)
+    monkeypatch.setattr(modular, "class_polynomial", boom)
     assert cli.run(["classpoly", "-23"]) == 3
     err = capsys.readouterr().err
     assert err.splitlines() == ["computation failed: internal arithmetic went wrong"]

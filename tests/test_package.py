@@ -20,6 +20,8 @@ def test_all_lists_exactly_the_public_names_bound_in_init():
             bound.update(alias.asname or alias.name for alias in node.names)
         elif isinstance(node, ast.Assign):
             bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            if any(isinstance(t, ast.Name) and t.id == "_LAZY" for t in node.targets):
+                bound.update(ast.literal_eval(node.value))  # names resolved on first use
     public = {name for name in bound if not name.startswith("_")}
     assert len(singk3.__all__) == len(set(singk3.__all__))
     assert set(singk3.__all__) == public
@@ -36,3 +38,7 @@ def test_cli_module_runs_as_a_script():
     envelope = json.loads(proc.stdout)
     assert envelope["command"]["verb"] == "classgroup"
     assert envelope["result"]["h"] == 3
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    assert not hasattr(singk3, "no_such_name")
