@@ -1,8 +1,8 @@
 """Class groups of binary quadratic forms, and their genus structure.
 
 Walks the basic objects: reduced forms, composition, the group structure,
-the subgroup of squares, and the genus partition with its character
-cross-check.
+and the genus partition, which groups classes by their assigned characters;
+its principal genus is the subgroup of squares.
 """
 
 from singk3 import (
@@ -32,8 +32,8 @@ print("genera:", [sorted(map(str, c)) for c in genus_partition(G).cosets])
 print()
 
 # Discriminant -56 splits into two genera of two classes each.  The genus of
-# a class is visible in two independent ways: as a coset of the squares, and
-# through the classical assigned characters.
+# a class is its vector of assigned characters; the genera are the cosets of
+# the squares.
 G56 = class_group(-56)
 part = genus_partition(G56)
 print(f"Cl(-56): h = {G56.order}, invariant factors {G56.cyclic_orders()}")

@@ -60,7 +60,6 @@ _LAZY = {
     "QuadElement": "lattices",
     "QuadLattice": "lattices",
     "TauPair": "lattices",
-    "galois_orbit_classes": "lattices",
     "homothety_equal": "lattices",
     "lattice_from_form": "lattices",
     "minimal_form": "lattices",
@@ -109,7 +108,6 @@ __all__ = [
     "compose",
     "distinct_fields",
     "fundamental_data",
-    "galois_orbit_classes",
     "genus_characters",
     "genus_of_transcendental_lattice",
     "genus_partition",

@@ -5,10 +5,10 @@ discriminant d, a <= sqrt(|d|/3) and |b| <= a.  For each a the b are the
 roots of b^2 = d (mod 4a), solved modulo the prime powers of a (Tonelli-Shanks
 and Hensel lifting, or a search where p = 2 or p | d) and combined by CRT;
 below a = 32 every b is tested instead.  The abelian group structure is found
-by greedy composition walks, a few compositions per class, the genus
-partition as cosets of the subgroup of squares, with classical assigned
-characters kept as an independent cross-check.  One class per genus is
-decided without composing: every reduced form must lie on the reduction
+by greedy composition walks, a few compositions per class.  The genus of a
+class is its vector of assigned characters (Cox, Primes of the Form x^2 + ny^2,
+Sec. 3), read off the coefficients without composing.  One class per genus is
+decided without composing either: every reduced form must lie on the reduction
 boundary.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import starmap
 from math import gcd, isqrt, prod
 from typing import Iterable, Iterator
 
@@ -31,8 +32,8 @@ from .forms import Form, check_discriminant, compose, form_sort_key, power, prin
 _CACHE_SIZE = 1024
 
 # Size limits, set so that the slowest accepted input takes well under 45 s:
-# near |d| = 10^10, h reaches 236606 and `genus d --json` takes 13 s (330 MB);
-# `scan --bound 4000000` takes 21 s.
+# near |d| = 10^10, h reaches 236606 and `genus d --json` takes 9 s (260 MB);
+# `scan --bound 4000000` takes 12 s.
 _MAX_CLASS_GROUP_ABS_D = 10**10
 _MAX_SCAN_BOUND = 4 * 10**6
 
@@ -142,8 +143,8 @@ def _solved_b(d: int, amax: int) -> Iterator[tuple[int, list[int]]]:
         yield a, sorted(b - two_a if b > a else b for b in (2 * k + eps for k in ks))
 
 
-def iter_reduced_primitive_forms(d: int) -> Iterator[Form]:
-    """Yield every reduced primitive form of discriminant d, ordered by a, then by b."""
+def iter_reduced_primitive_forms(d: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (a, b, c) for every reduced primitive form of discriminant d, ordered by a, then by b."""
     check_discriminant(d)
     amax = isqrt(-d // 3)
     parity = d & 1
@@ -157,21 +158,21 @@ def iter_reduced_primitive_forms(d: int) -> Iterator[Form]:
             if num % four_a == 0:
                 c = num // four_a
                 if c >= a and (a != c or b >= 0) and gcd(gcd(a, b), c) == 1:
-                    yield Form(a, b, c)
+                    yield a, b, c
             b += 2
     for a, bs in _solved_b(d, amax):
         four_a = 4 * a
         for b in bs:
             c = (b * b - d) // four_a
             if c >= a and (a != c or b >= 0) and gcd(gcd(a, b), c) == 1:
-                yield Form(a, b, c)
+                yield a, b, c
 
 
 def reduced_primitive_forms(d: int) -> tuple[Form, ...]:
     """Cl(d) as its reduced primitive forms, sorted; |d| above 10^10 raises InputTooLarge."""
     if check_discriminant(d) < -_MAX_CLASS_GROUP_ABS_D:
         raise InputTooLarge("class groups are limited to |d| <= 10^10")
-    return tuple(sorted(iter_reduced_primitive_forms(d), key=form_sort_key))
+    return tuple(sorted(starmap(Form, iter_reduced_primitive_forms(d)), key=form_sort_key))
 
 
 @dataclass(frozen=True)
@@ -268,9 +269,11 @@ def class_number(d: int) -> int:
 
 @dataclass(frozen=True)
 class GenusPartition:
-    """Partition of Cl(d) into genera = cosets of the subgroup of squares.
+    """Partition of Cl(d) into genera: classes with the same assigned character vector.
 
-    principal_genus is that subgroup, Cl^2(d) = {F*F : F in Cl(d)}.
+    principal_genus is the genus of the all-+1 vector, the one holding the
+    identity; by the principal genus theorem it is the subgroup of squares
+    Cl^2(d) = {F*F : F in Cl(d)}, and the genera are its cosets.
     """
 
     cosets: tuple[frozenset[Form], ...]
@@ -289,18 +292,17 @@ class GenusPartition:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def genus_partition(group: ClassGroup) -> GenusPartition:
-    squares = frozenset(compose(f, f) for f in group.elements)
-    cosets = []
-    assigned: set[Form] = set()
-    for f in group.elements:  # elements are sorted, so cosets come out ordered
-        if f in assigned:
-            continue
-        coset = frozenset(compose(f, s) for s in squares)
-        assigned |= coset
-        cosets.append(coset)
-    g = len(cosets)
-    assert g & (g - 1) == 0, "number of genera must be a power of 2"
-    return GenusPartition(tuple(cosets), squares)
+    """Cl(d) grouped by assigned character vector, genera in the order of their first class."""
+    d = group.discriminant
+    odd_primes = sorted(p for p in factorize(-d) if p != 2)
+    genera: dict[tuple[int, ...], list[Form]] = {}
+    for f in group.elements:  # elements are sorted, so genera come out ordered
+        genera.setdefault(_characters(f, d, odd_primes), []).append(f)
+    principal = next(iter(genera))
+    assert genera[principal][0] == group.identity and -1 not in principal, "principal genus first"
+    assert len(genera) == 2 ** (len(principal) - 1), "Gauss: 2^(mu - 1) genera"
+    cosets = tuple(map(frozenset, genera.values()))
+    return GenusPartition(cosets, cosets[0])
 
 
 def classes_per_genus(d: int) -> int:
@@ -308,9 +310,10 @@ def classes_per_genus(d: int) -> int:
     return len(genus_partition(class_group(d)).principal_genus)
 
 
-def _on_boundary(f: Form) -> bool:
+def _on_boundary(form: tuple[int, int, int]) -> bool:
     # a reduced form is 2-torsion iff one reduction inequality is an equality
-    return f.b == 0 or f.a == f.b or f.a == f.c
+    a, b, c = form
+    return b == 0 or a == b or a == c
 
 
 def is_two_torsion(f: Form) -> bool:
@@ -318,7 +321,7 @@ def is_two_torsion(f: Form) -> bool:
     the reduction inequalities is an equality (b = 0, a = b, or a = c)."""
     if not f.is_reduced():
         raise NotReduced(f"{f} is not reduced")
-    return _on_boundary(f)
+    return _on_boundary((f.a, f.b, f.c))
 
 
 def is_one_class_per_genus(d: int) -> bool:
@@ -368,49 +371,41 @@ def distinct_fields(ds: Iterable[int]) -> frozenset[int]:
     return frozenset(fundamental_data(d).field_discriminant for d in ds)
 
 
-def _legendre(a: int, p: int) -> int:
-    t = pow(a % p, (p - 1) // 2, p)
-    return -1 if t == p - 1 else t
-
-
-def _represented_value_coprime_to(f: Form, n: int) -> int:
-    for radius in range(1, 9):
-        for x in range(-radius, radius + 1):
-            for y in range(-radius, radius + 1):
-                v = f.a * x * x + f.b * x * y + f.c * y * y
-                if v and gcd(v, n) == 1:
-                    return v
-    raise ArithmeticError(f"no represented value coprime to {n} found for {f}")
+def _characters(f: Form, d: int, odd_primes: Iterable[int]) -> tuple[int, ...]:
+    # Each character is evaluated on a value f represents prime to its modulus:
+    # a = f(1, 0), or else c = f(0, 1).  For p | d with p | a, c is prime to p,
+    # since p | c would give p | b^2 = d + 4ac against primitivity.  When 4 | d,
+    # b is even, so a and c are not both even.
+    a, c = f.a, f.c
+    chars = []
+    for p in odd_primes:
+        v = a if a % p else c
+        chars.append(1 if pow(v, (p - 1) // 2, p) == 1 else -1)
+    if d % 4 == 0:  # the characters mod 4 and 8 that n = -d/4 mod 8 prescribes
+        v = a if a % 2 else c
+        delta = 1 if v % 4 == 1 else -1
+        eps = 1 if v % 8 in (1, 7) else -1
+        n = -d // 4 % 8
+        if n in (1, 4, 5):
+            chars.append(delta)
+        elif n == 2:
+            chars.append(delta * eps)
+        elif n == 6:
+            chars.append(eps)
+        elif n == 0:
+            chars += (delta, eps)
+    return tuple(chars)
 
 
 def genus_characters(f: Form) -> tuple[int, ...]:
-    """Assigned character vector of the class of f.
+    """Assigned character vector of the class of f: the genus of f.
 
     Legendre symbols at the odd primes dividing d, plus the mod-4 / mod-8
-    characters prescribed by -d/4 mod 8 when 4 | d, all evaluated on a
-    represented value coprime to 2d.  Classes lie in the same genus iff their
-    vectors agree; this cross-checks the subgroup-of-squares partition.
+    characters prescribed by -d/4 mod 8 when 4 | d (Cox, Sec. 3).  Classes
+    lie in the same genus iff their vectors agree, and genus_partition groups
+    Cl(d) by these vectors.  f need not be reduced.
     """
     if not f.is_primitive():
         raise ImprimitiveInput("genus characters require a primitive form")
     d = f.discriminant()
-    v = _represented_value_coprime_to(f, 2 * d)
-    chars = [_legendre(v, p) for p in sorted(factorize(-d)) if p != 2]
-    if d % 4 == 0:
-        n = -d // 4
-        delta = 1 if v % 4 == 1 else -1
-        eps = 1 if v % 8 in (1, 7) else -1
-        if n % 4 == 1:
-            chars.append(delta)
-        elif n % 4 == 3:
-            pass
-        elif n % 8 == 2:
-            chars.append(delta * eps)
-        elif n % 8 == 6:
-            chars.append(eps)
-        elif n % 8 == 4:
-            chars.append(delta)
-        else:  # n = 0 mod 8
-            chars.append(delta)
-            chars.append(eps)
-    return tuple(chars)
+    return _characters(f, d, sorted(p for p in factorize(-d) if p != 2))

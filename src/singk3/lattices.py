@@ -265,7 +265,9 @@ def galois_orbit_classes(q: Form) -> frozenset[Form]:
 
     The conjugation action multiplies the tau1-lattice by squares of classes
     of the primitive discriminant, so the orbit is the coset of the principal
-    genus through the primitive part, rescaled by the content.
+    genus through the primitive part, rescaled by the content.  Not exported
+    from singk3: k3.genus_of_transcendental_lattice is the production route,
+    and this composing route is kept as a cross-check of it.
     """
     qp = q.primitive_part().reduced()
     m = q.content()

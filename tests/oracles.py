@@ -3,9 +3,11 @@
 Nothing here calls the reduction, composition, or genus code paths it is
 meant to check: equivalence is decided by searching over unimodular words,
 class numbers by the classical conductor formula, symbols by exponentiation.
-Three exceptions build on production routes and so check only what sits on
+Four exceptions build on production routes and so check only what sits on
 top of them: reference_decomposition composes forms to check the
-group-structure decomposition, reference_class_polynomial evaluates j
+group-structure decomposition, reference_genus_partition composes forms to
+check the genera that singk3 groups by assigned characters as the cosets of
+the squares, reference_class_polynomial evaluates j
 with singk3.modular.j_of_form to check the certified product and rounding,
 and pencil_conjugates moves classes with singk3's composition and lattice
 multiplication and evaluates j_of_form to check which pencil coefficients
@@ -194,6 +196,30 @@ def reference_decomposition(elements, identity):
         span = new_span
         gens.append((x, k))
     return tuple(gens)
+
+
+def reference_genus_partition(group):
+    """The genera of a class group as the cosets of its subgroup of squares.
+
+    Composes (with singk3.forms) 2h times, so it checks the assigned-character
+    route of singk3.classgroup.genus_partition against the definition of a
+    genus as a coset of Cl^2(d), cosets in the order of their first element.
+    """
+    from singk3.classgroup import GenusPartition
+    from singk3.forms import compose
+
+    squares = frozenset(compose(f, f) for f in group.elements)
+    cosets = []
+    assigned = set()
+    for f in group.elements:  # elements are sorted, so cosets come out ordered
+        if f in assigned:
+            continue
+        coset = frozenset(compose(f, s) for s in squares)
+        assigned |= coset
+        cosets.append(coset)
+    g = len(cosets)
+    assert g & (g - 1) == 0, "number of genera must be a power of 2"
+    return GenusPartition(tuple(cosets), squares)
 
 
 def reference_class_polynomial(d: int) -> tuple[int, ...]:

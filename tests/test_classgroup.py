@@ -23,9 +23,12 @@ from singk3.forms import Form, compose, power, principal_form
 
 from oracles import (
     KNOWN_CLASS_NUMBERS,
+    apply_word,
     class_number_oracle,
+    random_unimodular_word,
     reference_decomposition,
     reference_forms,
+    reference_genus_partition,
 )
 
 VALID = [-n for n in range(3, 2001) if n % 4 in (0, 3)]
@@ -56,7 +59,7 @@ PRIME_POWER_HEAVY = (-(2**21), -4 * 3**11, -(3**13), -4 * 7**6, -4 * 5**8 * 3)
 
 def assert_enumeration_matches_reference(d):
     # the same forms in the same order: by a, then by b
-    expected = [f for f in reference_forms(d) if f.is_primitive()]
+    expected = [(f.a, f.b, f.c) for f in reference_forms(d) if f.is_primitive()]
     assert list(iter_reduced_primitive_forms(d)) == expected, d
 
 
@@ -195,6 +198,35 @@ def test_genus_partition_examples():
     assert p56.principal_genus == frozenset({Form(1, 0, 14), Form(2, 0, 7)})
 
 
+def assert_reference_genus_partition(d):
+    # the same cosets in the same order, and the same principal genus
+    group = class_group(d)
+    assert genus_partition(group) == reference_genus_partition(group), d
+
+
+def test_genus_partition_matches_the_cosets_of_squares():
+    for n in range(3, 5001):
+        if n % 4 in (0, 3):
+            assert_reference_genus_partition(-n)
+    # -446185740 = -4 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23: h = 8064, 128 genera
+    for d in POOLED_STRUCTURE + (-446185740,):
+        assert_reference_genus_partition(d)
+
+
+@pytest.mark.slow
+def test_genus_partition_matches_the_cosets_of_squares_at_h_26629():
+    assert_reference_genus_partition(-1000000007)
+
+
+def test_genus_partition_composes_nothing(monkeypatch):
+    calls = count_compositions(monkeypatch)
+    for d in (-56, -5460, -8323968, -446185740):
+        group = class_group(d)
+        calls[0] = 0
+        genus_partition.__wrapped__(group)  # bypass the cache
+        assert calls[0] == 0, (d, calls[0])
+
+
 def test_genus_partition_structure():
     for d in VALID[:300]:
         group = class_group(d)
@@ -295,13 +327,18 @@ def test_genus_characters_examples():
 
 
 def test_characters_define_the_genus_partition():
-    # same coset of squares <-> same character vector, and g = 2^(mu - 1)
-    for d in VALID:
+    # same coset of squares <-> same character vector, and g = 2^(mu - 1); a
+    # non-reduced representative has another a and c to evaluate on
+    rng = random.Random(7)
+    for d in VALID + [-446185740]:
         group = class_group(d)
-        part = genus_partition(group)
+        part = reference_genus_partition(group)
         by_vec: dict[tuple[int, ...], set] = {}
         for f in group.elements:
-            by_vec.setdefault(genus_characters(f), set()).add(f)
+            chars = genus_characters(f)
+            g = apply_word(f, random_unimodular_word(rng))
+            assert genus_characters(g) == chars, (f, g)
+            by_vec.setdefault(chars, set()).add(f)
         assert set(map(frozenset, by_vec.values())) == set(part.cosets)
         mu = len(genus_characters(group.identity))
         assert part.genus_count == 2 ** (mu - 1)
