@@ -1,8 +1,9 @@
 """j-invariants and ring class polynomials at certified precision.
 
 The j-value of a CM point is computed from the Eisenstein q-expansions; the
-class polynomial collects the j-values of all classes of a discriminant into
-a monic integer polynomial.  Each coefficient is rounded to an integer only
+class polynomial collects the j-values of all classes of a discriminant, taken
+on Python integers from the Weber f2 quotient, into a monic integer
+polynomial.  Each coefficient is rounded to an integer only
 when an explicit bound on its numerical error proves the rounding.
 """
 

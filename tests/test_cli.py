@@ -291,7 +291,7 @@ def test_class_group_verbs_load_no_numeric_layer():
 
 
 def test_classpoly_loads_neither_k3_nor_lattices():
-    assert modules_left_loaded(["classpoly", "-23"]) == "['mpmath', 'singk3.modular']"
+    assert modules_left_loaded(["classpoly", "-23"]) == "['singk3.modular']"
 
 
 def test_computation_errors_exit_3(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import random
-from fractions import Fraction
+import sys
+import threading
 from math import log, pi, sqrt
 from pathlib import Path
 
@@ -12,10 +13,12 @@ from singk3.classgroup import class_group, class_number
 from singk3.errors import InputTooLarge
 from singk3.forms import Form
 from singk3.modular import (
+    _GUARD_BITS,
     _approximate_coefficients,
+    _fixed_j,
     _height_precision_bits,
     _j_in_fundamental_domain,
-    _mpf_to_fraction,
+    _pentagonal_terms,
     _series_terms,
     class_polynomial,
     j_of_form,
@@ -152,36 +155,55 @@ def test_class_polynomial_matches_reference_to_2000():
         assert class_polynomial(d).coefficients == reference_class_polynomial(d), d
 
 
+def record_passes(monkeypatch) -> list:
+    # (wp, (coefficients at wp + _GUARD_BITS bits, e)) of every pass class_polynomial runs
+    passes = []
+
+    def recording(d, wp):
+        passes.append((wp, _approximate_coefficients(d, wp)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(modular, "_approximate_coefficients", recording)
+    return passes
+
+
+def assert_within_the_bound(approx, e, wp, exact):
+    # |c_k' - c_k| <= 2^e, on the integers c_k' 2^bits
+    bits = wp + _GUARD_BITS
+    for c_hat, c in zip(approx, exact, strict=True):
+        assert abs(c_hat - (c << bits)) <= 1 << (e + bits), wp
+
+
 def test_class_polynomial_falls_back_to_doubled_precision(monkeypatch):
+    # every pass, also one too short to round, stays within its bound 2^e; the
+    # integer rounding refuses each pass but the last
     monkeypatch.setattr(modular, "_height_precision_bits", lambda d: 64)
+    passes = record_passes(monkeypatch)
     poly = class_polynomial(-71)
     assert poly.coefficients == H_MINUS_71
     assert poly.rounds > 1
     assert poly.precision_bits == 64 * 2 ** (poly.rounds - 1)
+    assert len(passes) == poly.rounds
+    for k, (wp, (approx, e)) in enumerate(passes, 1):
+        assert_within_the_bound(approx, e, wp, H_MINUS_71)
+        rounded = modular._integer_coefficients(approx, e, wp + _GUARD_BITS)
+        assert rounded == (H_MINUS_71 if k == poly.rounds else None), wp
 
 
 def test_error_bound_covers_the_actual_error_on_pooled_d(monkeypatch):
     # E = 2^e bounds |c_k' - c_k| against the integers of the two-pass oracle,
     # and one pass at the starting precision always suffices
-    passes = []
-
-    def recording(d, wp):
-        passes.append(_approximate_coefficients(d, wp))
-        return passes[-1]
-
-    monkeypatch.setattr(modular, "_approximate_coefficients", recording)
+    passes = record_passes(monkeypatch)
     for d in POOLED_D:
         passes.clear()
         poly = class_polynomial(d)
         assert poly.rounds == len(passes) == 1
         assert poly.precision_bits == _height_precision_bits(d)
-        approx, e = passes[0]
+        wp, (approx, e) = passes[0]
         assert e == poly.error_bound_log2
         exact = reference_class_polynomial(d)
         assert poly.coefficients == exact
-        bound = Fraction(2) ** e
-        for c_hat, c in zip(approx, exact, strict=True):
-            assert abs(_mpf_to_fraction(c_hat) - c) <= bound, d
+        assert_within_the_bound(approx, e, wp, exact)
 
 
 def test_series_terms_meet_the_tail_inequality():
@@ -203,6 +225,114 @@ def test_series_terms_meet_the_tail_inequality():
                     # at least 32 r < 0.14 per step
                     rest = mp.zeta(k) * (n + 41) ** k * r ** (n + 41) / 0.86
                     assert weight * (head + rest) <= mp.mpf(2) ** -wp, (log2_q, wp, k)
+
+
+def test_pentagonal_terms_meet_the_tail_inequality():
+    # lemma above _fixed_j, step 7: with K = _pentagonal_terms(log2 r, bits), the
+    # terms of E(q) = prod (1 - q^n) past k = K, r^(k(3k-1)/2) + r^(k(3k+1)/2),
+    # sum to at most 2^-bits for every r <= 2^log2_q
+    def g(k):
+        return k * (3 * k - 1) // 2
+
+    top = -pi * sqrt(3) / log(2)  # the largest |q| in the fundamental domain
+    for log2_q in (top, 2 * top, -8.0, -13.0, -31.4, -100.0, -777.7, -4532.9, -9065.8):
+        for bits in (64, 65, 100, 333, 1000, 2048, 4099, 8192, 20000):
+            k = _pentagonal_terms(log2_q, bits)
+            with mp.workprec(80):
+                r = mp.mpf(2) ** log2_q
+                head = mp.fsum(r ** g(m) + r ** (g(m) + m) for m in range(k + 1, k + 41))
+                rest = 2 * r ** g(k + 41) / (1 - r)  # g grows by more than 1 per step
+                assert head + rest <= mp.mpf(2) ** -bits, (log2_q, bits)
+
+
+def _fixed_j_error(f, wp):
+    # |J - j| / (1 + |j|) in units of 2^-wp for J = _fixed_j(f, wp), against
+    # j_of_form at wp + 64 bits, itself within 2^-(wp+64) (1 + |j|)
+    re, im = _fixed_j(f, wp)
+    ref = j_of_form(f, wp + 64)
+    with mp.workprec(max(re.bit_length(), im.bit_length(), wp) + 64):
+        got = mp.mpc(re, im) / mp.mpf(2) ** (wp + _GUARD_BITS)  # exact
+        return abs(got - ref) / (1 + abs(ref)) * mp.mpf(2) ** wp
+
+
+def assert_fixed_j_within_the_lemma(forms, precisions):
+    # the lemma proves 2^-26; the oracle's own error costs at most a bit of it
+    for f in forms:
+        for wp in precisions:
+            assert _fixed_j_error(f, wp) <= mp.mpf(2) ** -25, (f, wp)
+
+
+def test_fixed_j_matches_j_of_form_on_random_forms():
+    rng = random.Random(34)
+    forms = [random_primitive_form(rng, max_a=40) for _ in range(40)]
+    assert_fixed_j_within_the_lemma(forms, (64, 200, 428, 1000))
+
+
+def test_fixed_j_keeps_its_precision_where_q_is_tiny():
+    # a = 1: x ~ q is below 2^-700 at |d| near 25000 and 2^-4500 near 10^6, so
+    # the floor(log2(1/|q|)) extra bits carry the whole relative precision of q
+    forms = [Form(1, 0, 1), Form(1, 1, 1), Form(1, 1, 6228), Form(1, 0, 6250)]
+    forms += [Form(1, 1, 249999), Form(1, 1, 250000), Form(1, 0, 250000)]
+    assert_fixed_j_within_the_lemma(forms, (64, 428))
+
+
+def test_fixed_j_at_the_size_limits():
+    # |d| near 25000 (the classpoly limit) and 10^6 (the lemma's): the first
+    # forms of the group, with a = 1 and small a, and its last, with the largest a
+    for d in (-24911, -23999, -999999, -999996):
+        elements = class_group(d).elements
+        assert_fixed_j_within_the_lemma(elements[:3] + elements[-3:], (64, 428))
+
+
+def test_fixed_j_from_64_bits_to_16_times_the_starting_precision():
+    start = _height_precision_bits(-239)
+    precisions = (64, start, 2 * start, 4 * start, 8 * start, 16 * start)
+    elements = class_group(-239).elements
+    assert_fixed_j_within_the_lemma(elements[:2] + elements[-2:], precisions)
+
+
+def test_class_polynomials_and_j_of_form_run_side_by_side_in_threads():
+    # class_polynomial never touches mpmath's process-wide precision, which
+    # j_of_form sets: two threads build class polynomials while a third
+    # evaluates j in a loop, with a short switch interval, and all of them get
+    # their serial values
+    ds = POOLED_D[:20]
+    forms = [Form(2, 1, 3), Form(3, 2, 5), Form(4, 3, 7), Form(6, 5, 11)]
+    serial_polys = {d: class_polynomial(d).coefficients for d in ds}
+    serial_j = {f: j_of_form(f, 428) for f in forms}
+    polys, wrong_j, j_calls = {}, [], [0]
+    started, built = threading.Event(), [threading.Event(), threading.Event()]
+
+    def build(part, done):
+        started.wait(10)
+        for d in part:
+            polys[d] = class_polynomial(d).coefficients
+        done.set()
+
+    def evaluate():
+        while not all(done.is_set() for done in built):
+            for f in forms:
+                if j_of_form(f, 428) != serial_j[f]:
+                    wrong_j.append(f)
+                j_calls[0] += 1
+                started.set()
+
+    threads = [threading.Thread(target=build, args=(ds[0::2], built[0])),
+               threading.Thread(target=build, args=(ds[1::2], built[1])),
+               threading.Thread(target=evaluate)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert j_calls[0] > len(forms)
+    assert polys == serial_polys
+    assert wrong_j == []
 
 
 def test_inverse_class_gives_the_conjugate_j():
