@@ -14,15 +14,18 @@ boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import starmap
 from math import gcd, isqrt, prod
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING
 
 from ._factor import factorize, squarefree_decomposition
 from .errors import ImprimitiveInput, InputTooLarge, NotReduced
 from .forms import Form, check_discriminant, compose, form_sort_key, power, principal_form
+
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
 
 # Entries per discriminant cache.  A long-lived process must not grow without
 # bound, yet the cache should never evict on the traffic it serves: every
@@ -175,18 +178,16 @@ def reduced_primitive_forms(d: int) -> tuple[Form, ...]:
     return tuple(sorted(starmap(Form, iter_reduced_primitive_forms(d)), key=form_sort_key))
 
 
-@dataclass(frozen=True)
-class ClassGroup:
+class ClassGroup(namedtuple("ClassGroup", "discriminant elements generators")):
     """Cl(d): reduced primitive forms of discriminant d with their group structure.
 
-    generators lists (form, order) pairs presenting the group as an internal
-    direct product of cyclic subgroups; orders are non-increasing and each
-    divides the previous one (invariant factors).
+    discriminant is d, elements the tuple of reduced forms.  generators lists
+    (form, order) pairs presenting the group as an internal direct product of
+    cyclic subgroups; orders are non-increasing and each divides the previous
+    one (invariant factors).
     """
 
-    discriminant: int
-    elements: tuple[Form, ...]
-    generators: tuple[tuple[Form, int], ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -267,17 +268,16 @@ def class_number(d: int) -> int:
     return class_group(d).order
 
 
-@dataclass(frozen=True)
-class GenusPartition:
+class GenusPartition(namedtuple("GenusPartition", "cosets principal_genus")):
     """Partition of Cl(d) into genera: classes with the same assigned character vector.
 
-    principal_genus is the genus of the all-+1 vector, the one holding the
-    identity; by the principal genus theorem it is the subgroup of squares
-    Cl^2(d) = {F*F : F in Cl(d)}, and the genera are its cosets.
+    cosets is a tuple of frozensets of forms.  principal_genus is the genus of
+    the all-+1 vector, the one holding the identity; by the principal genus
+    theorem it is the subgroup of squares Cl^2(d) = {F*F : F in Cl(d)}, and the
+    genera are its cosets.
     """
 
-    cosets: tuple[frozenset[Form], ...]
-    principal_genus: frozenset[Form]
+    __slots__ = ()
 
     @property
     def genus_count(self) -> int:
@@ -347,12 +347,11 @@ def scan_one_class_per_genus(bound: int) -> list[int]:
     return [-n for n in range(3, bound + 1) if n % 4 in (0, 3) and is_one_class_per_genus(-n)]
 
 
-@dataclass(frozen=True)
-class FundamentalData:
-    """d = f^2 * d_K with d_K the fundamental discriminant of Q(sqrt(d))."""
+class FundamentalData(namedtuple("FundamentalData", "field_discriminant conductor")):
+    """d = f^2 * d_K with d_K (field_discriminant) the fundamental discriminant
+    of Q(sqrt(d)) and f the conductor."""
 
-    field_discriminant: int
-    conductor: int
+    __slots__ = ()
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -6,7 +6,8 @@ Every verb supports --json, which wraps the payload in a stable envelope
 environment variables with the SINGK3_ prefix (SINGK3_PRECISION,
 SINGK3_BOUND, SINGK3_JSON, SINGK3_KUMMER).  fractions, mpmath and the k3,
 lattices and modular layers are imported inside the verbs that use them, so
-classgroup, genus and scan start without them.
+classgroup, genus and scan start without them; bounds, factors and equation
+are in _numeric_verbs, which only they import.
 
 Exit codes: 0 success, 1 stdout closed before all output was written (e.g.
 piped into `head`; reported without a traceback), 2 usage error (a bad
@@ -38,7 +39,7 @@ from .errors import (
     ParseError,
     SingK3Error,
 )
-from .forms import Form, form_sort_key
+from .forms import form_sort_key
 
 SCHEMA_VERSION = "4"
 
@@ -68,6 +69,20 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise ValueError(text)
+    return value
+
+
+def precision_digits(text: str) -> int:
+    # a positive digit count whose bits the numeric layer accepts
+    from mpmath.libmp import dps_to_prec, prec_to_dps
+
+    from .modular import _MAX_PRECISION_BITS
+
+    value = positive_int(text)
+    if dps_to_prec(value) > _MAX_PRECISION_BITS:
+        raise argparse.ArgumentTypeError(
+            f"precision is limited to {prec_to_dps(_MAX_PRECISION_BITS)} digits, got {value}"
+        )
     return value
 
 
@@ -104,6 +119,10 @@ def _naming_env(convert):
             raise argparse.ArgumentTypeError(
                 f"invalid {convert.__name__} value {str(text)!r} from {text.name}"
             ) from None
+        except argparse.ArgumentTypeError as exc:
+            if not isinstance(text, _EnvText):
+                raise
+            raise argparse.ArgumentTypeError(f"{exc} from {text.name}") from None
 
     parse.__name__ = convert.__name__
     return parse
@@ -129,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_precision(p):
         p.add_argument(
             "--precision",
-            type=_naming_env(positive_int),
+            type=_naming_env(precision_digits),
             default=_env_default("SINGK3_PRECISION", "128"),
             metavar="DIGITS",
             help="working precision in decimal digits, positive (default 128)",
@@ -173,42 +192,8 @@ def _form_list(forms) -> list[dict]:
     return [f.as_json() for f in sorted(forms, key=form_sort_key)]
 
 
-def _value_json(v, digits: int) -> dict:
-    from fractions import Fraction
-
-    from mpmath import mp
-
-    if isinstance(v, Fraction):
-        return {"type": "rational", "value": str(v)}
-    re, im = (mp.nstr(x, digits, strip_zeros=False) for x in (mp.re(v), mp.im(v)))
-    return {"type": "complex", "re": re, "im": im}
-
-
-def _tau_json(tau) -> dict:
-    return {
-        "d_K": tau.field_discriminant,
-        "x": [tau.x.numerator, tau.x.denominator],
-        "y": [tau.y.numerator, tau.y.denominator],
-    }
-
-
 def _form_str(f: dict) -> str:
     return f"({f['a']},{f['b']},{f['c']})"
-
-
-def _value_str(v: dict) -> str:
-    if v["type"] == "rational":
-        return v["value"]
-    im = v["im"]
-    return f"{v['re']} - {im[1:]}*i" if im.startswith("-") else f"{v['re']} + {im}*i"
-
-
-def _quad_str(t: dict) -> str:
-    from fractions import Fraction
-
-    x = Fraction(t["x"][0], t["x"][1])
-    y = Fraction(t["y"][0], t["y"][1])
-    return f"({x} + {y}*sqrt({t['d_K']}))"
 
 
 def _run_classgroup(args, warnings):
@@ -253,136 +238,6 @@ def _render_genus(result, out):
     for i, coset in enumerate(result["cosets"]):
         tag = " (principal)" if coset == result["principal_genus"] else ""
         print(f"  genus {i}{tag}: {' '.join(map(_form_str, coset))}", file=out)
-
-
-def _run_bounds(args, warnings):
-    from mpmath.libmp import dps_to_prec
-
-    from .k3 import analyze
-
-    q = Form.from_text(args.form)
-    report = analyze(q, dps_to_prec(args.precision))
-    sc = report.surface
-    return {
-        "form": q.as_json(),
-        "d": sc.discriminant,
-        "d_prime": sc.primitive_discriminant,
-        "m": sc.content,
-        "f": sc.conductor,
-        "f_prime": sc.primitive_conductor,
-        "d_K": sc.field_discriminant,
-        "n": report.classes_per_genus,
-        "h_upper": report.class_number_upper,
-        "parity_forced": report.parity_forced,
-        "exact_minimal_field": report.exact_minimal_field,
-        "model_field": {
-            "j_tau1_normalized": _value_json(report.j_tau1_normalized, args.precision),
-            "j_tau2_normalized": _value_json(report.j_tau2_normalized, args.precision),
-        },
-    }
-
-
-def _render_bounds(result, out):
-    print(
-        f"form {_form_str(result['form'])}: "
-        f"d = {result['d']} = {result['m']}^2 * ({result['d_prime']}), "
-        f"d_K = {result['d_K']}, f = {result['f']}",
-        file=out,
-    )
-    print(
-        f"  degree over K: divisible by n = {result['n']}, divides h(d) = {result['h_upper']}",
-        file=out,
-    )
-    print(f"  degree over Q forced even: {result['parity_forced']}", file=out)
-    if result["exact_minimal_field"]:
-        print(f"  exact minimal field: {result['exact_minimal_field']}", file=out)
-    field = result["model_field"]
-    print("  model over Q(j(tau1), j(tau2)) (inside K(j(tau2)))", file=out)
-    print(f"    j_n(tau1) = {_value_str(field['j_tau1_normalized'])}", file=out)
-    print(f"    j_n(tau2) = {_value_str(field['j_tau2_normalized'])}", file=out)
-
-
-def _run_factors(args, warnings):
-    from .k3 import kummer_reduction
-    from .lattices import lattice_from_form, sm_factors
-
-    q = Form.from_text(args.form)
-    pair = sm_factors(q)
-    lat = lattice_from_form(q)
-    result = {
-        "form": q.as_json(),
-        "d": pair.discriminant,
-        "tau1": _tau_json(pair.tau1),
-        "tau2": _tau_json(pair.tau2),
-        "tau1_lattice": lat.as_json(),
-    }
-    if args.kummer:
-        reduction = kummer_reduction(q)
-        if reduction is None:
-            result["kummer"] = None
-            warnings.append("form is not 2-divisible; no Kummer reduction")
-        else:
-            half, halved = reduction
-            result["kummer"] = {
-                "half_form": half.as_json(),
-                "tau1": _tau_json(halved.tau1),
-                "tau2": _tau_json(halved.tau2),
-                "d": halved.discriminant,
-            }
-    return result
-
-
-def _render_factors(result, out):
-    print(f"d = {result['d']}", file=out)
-    print(f"  tau1 = {_quad_str(result['tau1'])}", file=out)
-    print(f"  tau2 = {_quad_str(result['tau2'])}", file=out)
-    lat = result["tau1_lattice"]
-    print(
-        f"  tau1 lattice: class {_form_str(lat['canonical_form'])}, "
-        f"conductor {lat['conductor']}",
-        file=out,
-    )
-    km = result.get("kummer")
-    if km:
-        print(
-            f"  Kummer: half form {_form_str(km['half_form'])}, "
-            f"tau1 = {_quad_str(km['tau1'])}, tau2/2 = {_quad_str(km['tau2'])}",
-            file=out,
-        )
-
-
-def _run_equation(args, warnings):
-    from fractions import Fraction
-
-    from mpmath.libmp import dps_to_prec
-
-    from .k3 import inose_pencil, kummer_equation
-
-    q = Form.from_text(args.form)
-    prec = dps_to_prec(args.precision)
-    model = kummer_equation(q, prec) if args.kummer else inose_pencil(q, prec)
-    if not (isinstance(model.A, Fraction) and isinstance(model.B, Fraction)):
-        warnings.append(
-            f"A and B are not proven rational; emitted numerically at {args.precision} digits"
-        )
-    return {
-        "form": q.as_json(),
-        "kind": model.kind,
-        "A": _value_json(model.A, args.precision),
-        "B": _value_json(model.B, args.precision),
-        "degenerate_rule_applied": model.degenerate_rule_applied,
-        "equation": model.equation(),
-        "a4": {str(k): _value_json(v, args.precision) for k, v in sorted(model.a4_polynomial().items())},
-        "a6": {str(k): _value_json(v, args.precision) for k, v in sorted(model.a6_polynomial().items())},
-    }
-
-
-def _render_equation(result, out):
-    print(result["equation"], file=out)
-    print(f"  A = {_value_str(result['A'])}", file=out)
-    print(f"  B = {_value_str(result['B'])}", file=out)
-    if result["degenerate_rule_applied"]:
-        print("  (degenerate substitution rule applied)", file=out)
 
 
 def _run_classpoly(args, warnings):
@@ -443,16 +298,22 @@ def _render_scan(result, out):
     print("  " + " ".join(str(r["d"]) for r in result["records"]), file=out)
 
 
-# verb -> (compute the JSON result, print it as text)
+# verb -> (compute the JSON result, print it as text); bounds, factors and
+# equation are in _numeric_verbs, which is compiled only when one of them runs
 _VERBS = {
     "classgroup": (_run_classgroup, _render_classgroup),
     "genus": (_run_genus, _render_genus),
-    "bounds": (_run_bounds, _render_bounds),
-    "factors": (_run_factors, _render_factors),
-    "equation": (_run_equation, _render_equation),
     "classpoly": (_run_classpoly, _render_classpoly),
     "scan": (_run_scan, _render_scan),
 }
+
+
+def _verb(name: str):
+    if name in _VERBS:
+        return _VERBS[name]
+    from ._numeric_verbs import VERBS
+
+    return VERBS[name]
 
 
 def run(argv: list[str], out=None) -> int:
@@ -463,7 +324,7 @@ def run(argv: list[str], out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    compute, render = _VERBS[args.verb]
+    compute, render = _verb(args.verb)
     warnings: list[str] = []
     try:
         result = compute(args, warnings)

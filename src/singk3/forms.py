@@ -4,6 +4,11 @@ A form (a, b, c) stands for a*x^2 + b*x*y + c*y^2, equivalently for the even
 Gram matrix ((2a, b), (b, 2c)).  All arithmetic is exact over Python ints;
 forms are immutable and safe to share.
 
+Form is a subclass of tuple whose constructor validates (a, b, c), so hashing
+and equality run in C and a Form pickles as its three coefficients.  As a
+tuple it compares equal to the plain tuple (a, b, c) and orders like one;
+sorting Cl(d) for display still uses form_sort_key.
+
 Reduction is classical Gauss reduction (Cohen, Alg. 5.4.2); composition is
 Dirichlet composition of primitive forms (Cohen, Alg. 5.4.7) followed by
 reduction.  The discriminants handled here are desk-scale, so no NUCOMP.
@@ -12,8 +17,8 @@ reduction.  The discriminants handled here are desk-scale, so no NUCOMP.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 from .errors import (
     ImprimitiveInput,
@@ -36,60 +41,71 @@ def check_discriminant(d: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class Form:
-    """Positive definite integral binary quadratic form a*x^2 + b*x*y + c*y^2."""
+class Form(tuple):
+    """Positive definite integral binary quadratic form a*x^2 + b*x*y + c*y^2.
 
-    a: int
-    b: int
-    c: int
+    A Form is the tuple (a, b, c), validated when built: it unpacks, hashes,
+    compares equal to (a, b, c) and orders as that tuple.  f * g and f ** k
+    are composition and powers; tuple + and integer repetition stay tuple
+    operations.
+    """
 
-    def __post_init__(self):
-        if self.a <= 0 or self.c <= 0:
-            raise NotPositiveDefinite(f"({self.a},{self.b},{self.c}) is not positive definite")
-        if self.b * self.b - 4 * self.a * self.c >= 0:
-            raise NotNegativeDiscriminant(
-                f"({self.a},{self.b},{self.c}) has non-negative discriminant"
-            )
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int) -> Form:
+        if a <= 0 or c <= 0:
+            raise NotPositiveDefinite(f"({a},{b},{c}) is not positive definite")
+        if b * b - 4 * a * c >= 0:
+            raise NotNegativeDiscriminant(f"({a},{b},{c}) has non-negative discriminant")
+        return tuple.__new__(cls, (a, b, c))
+
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+    c = property(itemgetter(2))
+
+    def __getnewargs__(self) -> tuple[int, int, int]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Form(a={self[0]!r}, b={self[1]!r}, c={self[2]!r})"
 
     def __str__(self) -> str:
-        return f"{self.a},{self.b},{self.c}"
+        a, b, c = self
+        return f"{a},{b},{c}"
 
     def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
+        a, b, c = self
+        return b * b - 4 * a * c
 
     def content(self) -> int:
         """Degree of primitivity: the largest m with (1/m)*form still even integral."""
-        return gcd(gcd(self.a, self.b), self.c)
+        return gcd(*self)
 
     def is_primitive(self) -> bool:
         return self.content() == 1
 
     def primitive_part(self) -> Form:
         m = self.content()
-        return self if m == 1 else Form(self.a // m, self.b // m, self.c // m)
+        if m == 1:
+            return self
+        a, b, c = self
+        return Form(a // m, b // m, c // m)
 
     def scaled(self, m: int) -> Form:
         """The form m*(a, b, c); inverse of primitive_part up to content."""
         if m <= 0:
             raise ValueError("scale factor must be positive")
-        return Form(m * self.a, m * self.b, m * self.c)
+        a, b, c = self
+        return Form(m * a, m * b, m * c)
 
     def is_reduced(self) -> bool:
         """Gauss-reduced: -a < b <= a <= c, with b >= 0 if a == c."""
-        a, b, c = self.a, self.b, self.c
+        a, b, c = self
         return -a < b <= a <= c and (a != c or b >= 0)
 
     def reduced(self) -> Form:
         """The unique reduced representative of the SL2(Z)-class."""
-        a, b, c = self.a, self.b, self.c
-        # normalize b into (-a, a]
-        r = (a - b) // (2 * a)
-        b, c = b + 2 * r * a, a * r * r + b * r + c
-        while not (-a < b <= a <= c and (a != c or b >= 0)):
-            s = (c + b) // (2 * c)
-            a, b, c = c, -b + 2 * s * c, c * s * s - b * s + a
-        return Form(a, b, c)
+        return _reduce(*self)
 
     def inverse(self) -> Form:
         """Reduced inverse class; corresponds to b -> -b."""
@@ -101,7 +117,7 @@ class Form:
         """Apply the GL2(Z) substitution (x, y) -> (p*x + q*y, r*x + s*y)."""
         if p * s - q * r not in (1, -1):
             raise ValueError("matrix must be unimodular")
-        a, b, c = self.a, self.b, self.c
+        a, b, c = self
         return Form(
             a * p * p + b * p * r + c * r * r,
             2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s,
@@ -138,6 +154,16 @@ class Form:
             raise ParseError(f"bad form object {obj!r}") from exc
 
 
+def _reduce(a: int, b: int, c: int) -> Form:
+    # Gauss reduction of a positive definite (a, b, c), which need not be a Form yet
+    r = (a - b) // (2 * a)  # normalize b into (-a, a]
+    b, c = b + 2 * r * a, a * r * r + b * r + c
+    while not (-a < b <= a <= c and (a != c or b >= 0)):
+        s = (c + b) // (2 * c)
+        a, b, c = c, -b + 2 * s * c, c * s * s - b * s + a
+    return Form(a, b, c)
+
+
 def form_sort_key(f: Form) -> tuple[int, int, int, int]:
     """Deterministic display order: identity first, +b before -b."""
     return (f.a, abs(f.b), 0 if f.b >= 0 else 1, f.c)
@@ -171,16 +197,15 @@ def compose(f1: Form, f2: Form) -> Form:
     Cohen, Alg. 5.4.7.  Inputs need not be reduced; the output class does not
     depend on the chosen representatives.
     """
-    if f1.discriminant() != f2.discriminant():
-        raise MismatchedDiscriminant(
-            f"discriminants differ: {f1.discriminant()} vs {f2.discriminant()}"
-        )
-    if not f1.is_primitive() or not f2.is_primitive():
+    a1, b1, c1 = f1
+    a2, b2, c2 = f2
+    disc1, disc2 = b1 * b1 - 4 * a1 * c1, b2 * b2 - 4 * a2 * c2
+    if disc1 != disc2:
+        raise MismatchedDiscriminant(f"discriminants differ: {disc1} vs {disc2}")
+    if gcd(a1, b1, c1) != 1 or gcd(a2, b2, c2) != 1:
         raise ImprimitiveInput("composition requires primitive forms")
-    if f1.a > f2.a:
-        f1, f2 = f2, f1
-    a1, b1, c1 = f1.a, f1.b, f1.c
-    a2, b2, c2 = f2.a, f2.b, f2.c
+    if a1 > a2:
+        a1, b1, c1, a2, b2, c2 = a2, b2, c2, a1, b1, c1
     s = (b1 + b2) // 2
     n = b2 - s
     if a2 % a1 == 0:
@@ -199,7 +224,7 @@ def compose(f1: Form, f2: Form) -> Form:
     b3 = b2 + 2 * v2 * r
     a3 = v1 * v2
     c3 = (c2 * d1 + r * (b2 + v2 * r)) // v1
-    return Form(a3, b3, c3).reduced()
+    return _reduce(a3, b3, c3)
 
 
 def power(f: Form, k: int) -> Form:

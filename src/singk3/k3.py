@@ -42,8 +42,8 @@ from .classgroup import (
 from .errors import InconsistentPair
 from .forms import Form, check_discriminant, principal_form
 from .lattices import TauPair, sm_factors
-from .modular import _GUARD_BITS, DEFAULT_PRECISION_BITS, _check_j_range, class_polynomial
-from .modular import j_of_form
+from .modular import _GUARD_BITS, DEFAULT_PRECISION_BITS, _check_j_range, _check_precision
+from .modular import class_polynomial, j_of_form
 
 Value = Fraction | mpc  # exact when proven rational, arbitrary-precision complex otherwise
 
@@ -98,11 +98,12 @@ class BoundsReport:
 def genus_of_transcendental_lattice(q: Form) -> frozenset[Form]:
     """Intersection forms in the genus of q: content-rescaled coset of the
     principal genus through the primitive part.  This is exactly the set of
-    Galois-conjugate transcendental lattices."""
+    Galois-conjugate transcendental lattices.  For primitive q it is the
+    coset that genus_partition caches, not a copy."""
     qp = q.primitive_part().reduced()
     m = q.content()
-    part = genus_partition(class_group(qp.discriminant()))
-    return frozenset(f.scaled(m) for f in part.coset_of(qp))
+    coset = genus_partition(class_group(qp.discriminant())).coset_of(qp)
+    return coset if m == 1 else frozenset(f.scaled(m) for f in coset)
 
 
 def _odd_prime_power(n: int, modulus: int, residue: int) -> bool:
@@ -161,7 +162,11 @@ def kummer_reduction(q: Form) -> tuple[Form, TauPair] | None:
 
 
 def analyze(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundsReport:
-    """Bounds report for the surface with intersection form q."""
+    """Bounds report for the surface with intersection form q.
+
+    precision_bits above _MAX_PRECISION_BITS raises InputTooLarge.
+    """
+    _check_precision(precision_bits)
     sc = surface_class(q)
     qp = q.primitive_part().reduced()
     n = classes_per_genus(sc.primitive_discriminant)
@@ -252,6 +257,7 @@ def _fmt(v: Fraction) -> str:
 
 
 def _pencil_values(q: Form, precision_bits: int):
+    _check_precision(precision_bits)  # also where the values come out exact
     sc = surface_class(q)
     a_zero = sc.primitive_discriminant == -3 or sc.discriminant == -3
     b_zero = sc.primitive_discriminant == -4 or sc.discriminant == -4
@@ -280,12 +286,18 @@ def _rational_pencil_values(sc: SurfaceClass) -> tuple[Fraction, Fraction] | Non
 
 
 def inose_pencil(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> WeierstrassModel:
-    """The elliptic fibration carrying the surface with intersection form q."""
+    """The elliptic fibration carrying the surface with intersection form q.
+
+    precision_bits above _MAX_PRECISION_BITS raises InputTooLarge.
+    """
     A, B, degenerate = _pencil_values(q, precision_bits)
     return WeierstrassModel("inose_pencil", A, B, degenerate, precision_bits)
 
 
 def kummer_equation(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> WeierstrassModel:
-    """The quadratic base change t -> t^2 of the pencil: the Kummer fibration."""
+    """The quadratic base change t -> t^2 of the pencil: the Kummer fibration.
+
+    precision_bits above _MAX_PRECISION_BITS raises InputTooLarge.
+    """
     A, B, degenerate = _pencil_values(q, precision_bits)
     return WeierstrassModel("kummer", A, B, degenerate, precision_bits)

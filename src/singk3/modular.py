@@ -30,7 +30,7 @@ fine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import ceil, exp, isqrt, log, log2, pi, sqrt
 from typing import TYPE_CHECKING
@@ -49,8 +49,11 @@ _GUARD_BITS = 32
 _MAX_CLASSPOLY_ABS_D = 25000
 
 
-@dataclass(frozen=True)
-class ClassPolynomial:
+class ClassPolynomial(
+    namedtuple(
+        "ClassPolynomial", "discriminant coefficients precision_bits rounds error_bound_log2"
+    )
+):
     """Monic integer polynomial with roots j(tau_F), F in Cl(d).
 
     coefficients are listed constant term first and include the leading 1.
@@ -59,11 +62,7 @@ class ClassPolynomial:
     coefficient's error before rounding was below 2^error_bound_log2.
     """
 
-    discriminant: int
-    coefficients: tuple[int, ...]
-    precision_bits: int
-    rounds: int
-    error_bound_log2: int
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -126,10 +125,12 @@ def j_of_form(f: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpc:
     """j(tau(F)), tau(F) = (-b + sqrt(d))/(2a), with j(i) = 1728.
 
     The form is reduced exactly first; the value is rounded to
-    precision_bits + _GUARD_BITS bits.  |d| > _MAX_J_ABS_D raises InputTooLarge.
+    precision_bits + _GUARD_BITS bits.  |d| > _MAX_J_ABS_D or precision_bits >
+    _MAX_PRECISION_BITS raises InputTooLarge.
     """
     from mpmath import mp, mpf
 
+    _check_precision(precision_bits)
     r = f.primitive_part().reduced()
     _check_j_range(r.discriminant())
     with mp.workprec(precision_bits + _GUARD_BITS):
@@ -149,10 +150,22 @@ def _height_precision_bits(d: int) -> int:
 
 _MAX_J_ABS_D = 10**6  # both j lemmas below are proven up to this |d|; both routes refuse more
 
+# j_of_form, and the analyze and pencil calls built on it, refuse more working
+# precision, so that the slowest accepted input takes well under 45 s: two j
+# values at the largest |q|, `bounds --form 1,1,1 --precision 15050` (50000
+# bits), took 27.5 s; 16000 digits took 42 s.  The lemma below would hold up
+# to about 8 million bits.
+_MAX_PRECISION_BITS = 50000
+
 
 def _check_j_range(d: int) -> None:
     if -d > _MAX_J_ABS_D:  # a bit length, since str() of a huge d fails
         raise InputTooLarge(f"j is proven only for |d| <= 10^6, got a {(-d).bit_length()}-bit |d|")
+
+
+def _check_precision(bits: int) -> None:
+    if bits > _MAX_PRECISION_BITS:
+        raise InputTooLarge(f"working precision is limited to {_MAX_PRECISION_BITS} bits, got {bits}")
 
 
 # Lemma (accuracy of j_of_form).  Let F be reduced with |d| <= 10^6, j = j(tau_F)

@@ -218,6 +218,28 @@ def test_genus_partition_matches_the_cosets_of_squares_at_h_26629():
     assert_reference_genus_partition(-1000000007)
 
 
+def test_records_are_immutable_value_tuples():
+    group = class_group(-56)
+    fresh = class_group.__wrapped__(-56)  # bypass the cache
+    assert group._fields == ("discriminant", "elements", "generators")
+    assert group == fresh and group is not fresh and hash(group) == hash(fresh)
+    assert (group.order, group.identity, group.cyclic_orders()) == (4, Form(1, 0, 14), (4,))
+    part = genus_partition(group)
+    assert part._fields == ("cosets", "principal_genus")
+    assert part == reference_genus_partition(fresh) and part.genus_count == 2
+    assert part.coset_of(Form(3, -2, 5)) == frozenset({Form(3, 2, 5), Form(3, -2, 5)})
+    with pytest.raises(KeyError):
+        part.coset_of(Form(1, 1, 6))
+    fd = fundamental_data(-300)
+    assert fd == (-3, 10) and (fd.field_discriminant, fd.conductor) == (-3, 10)
+    assert repr(fd) == "FundamentalData(field_discriminant=-3, conductor=10)"
+    for record, name in ((group, "discriminant"), (part, "cosets"), (fd, "conductor")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+
 def test_genus_partition_composes_nothing(monkeypatch):
     calls = count_compositions(monkeypatch)
     for d in (-56, -5460, -8323968, -446185740):

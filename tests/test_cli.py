@@ -228,6 +228,21 @@ def test_bad_precision_env_names_the_variable(capsys, monkeypatch):
     assert "SINGK3_PRECISION" not in err  # the bad value was typed, not inherited
 
 
+def test_oversized_precision_is_a_usage_error_naming_the_limit(capsys, monkeypatch):
+    from mpmath.libmp import dps_to_prec
+
+    limit = cli.precision_digits("15050")
+    assert dps_to_prec(limit) <= modular._MAX_PRECISION_BITS < dps_to_prec(limit + 1)
+    for verb in (["bounds"], ["equation"], ["equation", "--kummer"]):
+        start = time.perf_counter()
+        err = assert_usage_error(capsys, [*verb, "--form", "1,1,6", "--precision", "30000"])
+        assert time.perf_counter() - start < 5
+        assert "limited to 15050 digits, got 30000" in err and "SINGK3_PRECISION" not in err
+    monkeypatch.setenv("SINGK3_PRECISION", "15051")
+    err = assert_usage_error(capsys, ["bounds", "--form", "1,1,6"])
+    assert "limited to 15050 digits, got 15051 from SINGK3_PRECISION" in err
+
+
 def test_bad_bound_env_names_the_variable(capsys, monkeypatch):
     monkeypatch.setenv("SINGK3_BOUND", "1e4")
     err = assert_usage_error(capsys, ["scan"])
@@ -271,12 +286,18 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
-def modules_left_loaded(argv) -> str:
-    # which of the numeric layers a fresh interpreter holds after the command
+NUMERIC_LAYERS = (
+    "mpmath", "singk3._numeric_verbs", "singk3.k3", "singk3.lattices", "singk3.modular"
+)
+# dataclasses and what it imports, about 10 ms of start-up
+INTROSPECTION = ("dataclasses", "inspect", "ast")
+
+
+def modules_left_loaded(argv, modules=NUMERIC_LAYERS) -> str:
+    # which of `modules` a fresh interpreter holds after the command
     code = (
         "import sys; from singk3.cli import run; run(sys.argv[1:]); "
-        "print(sorted(m for m in ('mpmath', 'singk3.k3', 'singk3.lattices', 'singk3.modular') "
-        "if m in sys.modules), file=sys.stderr)"
+        f"print(sorted(m for m in {modules!r} if m in sys.modules), file=sys.stderr)"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
@@ -292,6 +313,17 @@ def test_class_group_verbs_load_no_numeric_layer():
 
 def test_classpoly_loads_neither_k3_nor_lattices():
     assert modules_left_loaded(["classpoly", "-23"]) == "['singk3.modular']"
+
+
+def test_cold_verbs_load_no_dataclasses():
+    for argv in (
+        ["classgroup", "-23"],
+        ["genus", "-56"],
+        ["scan", "--bound", "100"],
+        ["classpoly", "-23"],
+        ["--version"],
+    ):
+        assert modules_left_loaded(argv, INTROSPECTION) == "[]", argv
 
 
 def test_computation_errors_exit_3(capsys, monkeypatch):

@@ -216,3 +216,61 @@ def test_json_serialization():
     assert Form.from_json(obj) == f
     with pytest.raises(ParseError):
         Form.from_json({"a": "1"})
+
+
+def test_validation_messages():
+    with pytest.raises(NotPositiveDefinite, match=r"^\(-1,0,1\) is not positive definite$"):
+        Form(-1, 0, 1)
+    with pytest.raises(NotPositiveDefinite, match=r"^\(1,0,0\) is not positive definite$"):
+        Form(a=1, b=0, c=0)
+    with pytest.raises(NotNegativeDiscriminant, match=r"^\(1,3,1\) has non-negative discriminant$"):
+        Form(1, 3, 1)
+    with pytest.raises(NotNegativeDiscriminant, match=r"^\(1,2,1\) has non-negative discriminant$"):
+        Form(1, 2, 1)  # discriminant 0
+
+
+def test_form_is_immutable():
+    f = Form(2, 1, 3)
+    for name in ("a", "b", "c", "d"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, 5)
+    assert f == Form(2, 1, 3)
+
+
+def test_repr_str_hash_and_equality():
+    f = Form(2, -1, 3)
+    assert repr(f) == "Form(a=2, b=-1, c=3)"
+    assert str(f) == "2,-1,3"
+    assert (f.a, f.b, f.c) == (2, -1, 3)
+    assert repr(Form(10**30, 1, 10**30)) == f"Form(a={10**30}, b=1, c={10**30})"
+    # the hash and equality of the earlier frozen dataclass: by (a, b, c)
+    assert hash(f) == hash((2, -1, 3)) and hash(f) == hash(Form(2, -1, 3))
+    assert f == Form(2, -1, 3) and f != Form(2, 1, 3) and f != Form(3, 1, 2)
+    assert {Form(1, 1, 6): 0, Form(2, 1, 3): 1}[Form(2, 1, 3)] == 1
+
+
+def test_form_is_a_tuple():
+    f = Form(2, 1, 3)
+    a, b, c = f
+    assert (a, b, c) == (2, 1, 3) and len(f) == 3
+    assert f == (2, 1, 3) and (2, 1, 3) == f
+    assert Form(1, 1, 6) < Form(2, -1, 3) < Form(2, 1, 3)
+    assert f * f == Form(2, -1, 3) and f**3 == Form(1, 1, 6)  # composition, not repetition
+
+
+def test_pickle_round_trip():
+    import copy
+    import pickle
+
+    forms = [Form(1, 1, 6), Form(2, -1, 3), Form(4, 0, 4), Form(10**30, 1, 10**30)]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for f in forms:
+            g = pickle.loads(pickle.dumps(f, protocol))
+            assert type(g) is Form and g == f and repr(g) == repr(f)
+    assert copy.deepcopy(forms) == forms and type(copy.copy(forms[1])) is Form
+    # unpickling goes through the validating constructor
+    good = pickle.dumps(Form(1, 0, 1), 2)
+    bad = good.replace(b"K\x01K\x00K\x01", b"K\x01K\x03K\x01")  # b = 0 -> 3
+    assert bad != good
+    with pytest.raises(NotNegativeDiscriminant):
+        pickle.loads(bad)

@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 from singk3.classgroup import class_group, classes_per_genus
-from singk3.errors import InconsistentPair
+from singk3.errors import InconsistentPair, InputTooLarge
 from singk3.forms import Form, principal_form
 from singk3.k3 import (
     WeierstrassModel,
@@ -85,6 +86,15 @@ def test_genus_of_tx_examples():
     assert genus_of_transcendental_lattice(Form(1, 1, 6)) == frozenset(class_group(-23).elements)
     assert genus_of_transcendental_lattice(Form(1, 0, 1)) == frozenset({Form(1, 0, 1)})
     assert genus_of_transcendental_lattice(Form(30, 0, 30)) == frozenset({Form(30, 0, 30)})
+
+
+def test_genus_of_tx_shares_the_cached_coset_when_primitive():
+    from singk3.classgroup import genus_partition
+
+    for q in (Form(1, 1, 6), Form(2, -1, 3), Form(3, 2, 5)):
+        coset = genus_partition(class_group(q.discriminant())).coset_of(q.reduced())
+        assert genus_of_transcendental_lattice(q) is coset
+        assert genus_of_transcendental_lattice(q.scaled(3)) == frozenset(f.scaled(3) for f in coset)
 
 
 def test_genus_of_tx_matches_galois_orbit_sampled():
@@ -318,3 +328,17 @@ def test_weierstrass_model_immutable():
     with pytest.raises(AttributeError):
         model.A = 2  # type: ignore[misc]
     assert isinstance(model, WeierstrassModel)
+
+
+def test_oversized_precision_is_refused_before_any_work():
+    from singk3.modular import _MAX_PRECISION_BITS, j_of_form
+
+    too_many = _MAX_PRECISION_BITS + 1
+    # (1, 0, 1) has exact pencil values, so the refusal cannot come from j
+    for q in (Form(1, 0, 1), Form(2, 1, 3), Form(4, 0, 4)):
+        for call in (analyze, inose_pencil, kummer_equation, j_of_form):
+            start = time.perf_counter()
+            with pytest.raises(InputTooLarge, match=f"limited to {_MAX_PRECISION_BITS} bits"):
+                call(q, too_many)
+            assert time.perf_counter() - start < 1
+    assert inose_pencil(Form(1, 0, 1), _MAX_PRECISION_BITS).precision_bits == _MAX_PRECISION_BITS

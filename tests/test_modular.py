@@ -140,6 +140,20 @@ def test_class_polynomial_structure():
                 assert abs(poly.evaluate(root)) < mp.mpf(2) ** (-120) * scale
 
 
+def test_class_polynomial_record():
+    poly = class_polynomial(-23)
+    assert poly._fields == (
+        "discriminant", "coefficients", "precision_bits", "rounds", "error_bound_log2"
+    )
+    assert poly == modular.ClassPolynomial(-23, *poly[1:]) and hash(poly) == hash(tuple(poly))
+    assert poly.degree == 3 and poly.evaluate(0) == 12771880859375
+    assert poly.as_json() == ["12771880859375", "-5151296875", "3491750", "1"]
+    with pytest.raises(AttributeError):
+        poly.rounds = 2
+    with pytest.raises(AttributeError):
+        poly.extra = None
+
+
 def _discriminants(max_abs_d: int):
     return [-n for n in range(3, max_abs_d + 1) if -n % 4 in (0, 1)]
 
