@@ -4,28 +4,40 @@ Cl(d) is enumerated as the set of reduced primitive forms (a, b, c) of
 discriminant d, a <= sqrt(|d|/3) and |b| <= a.  For each a the b are the
 roots of b^2 = d (mod 4a), solved modulo the prime powers of a (Tonelli-Shanks
 and Hensel lifting, or a search where p = 2 or p | d) and combined by CRT;
-below a = 32 every b is tested instead.  The abelian group structure is found
-by greedy composition walks, a few compositions per class.  The genus of a
-class is its vector of assigned characters (Cox, Primes of the Form x^2 + ny^2,
-Sec. 3), read off the coefficients without composing.  One class per genus is
-decided without composing either: every reduced form must lie on the reduction
-boundary.
+below a = 32 every b is tested instead.  Above it only the a whose every prime
+power has roots are visited, lazily and by increasing a, so a caller that stops
+early (the one-class-per-genus scan) pays only for the a it reached.  The
+elements are cached per d; h, the genera, the class polynomial and the Galois
+orbits read them without decomposing the group.
+
+The abelian group structure is found by greedy composition walks on plain
+triples, with the unchecked core of forms.compose: h - 1 compositions when
+Cl(d) is cyclic, a few per class otherwise.  The genus of a class is its vector
+of assigned characters (Cox, Primes of the Form x^2 + ny^2, Sec. 3), read off
+the coefficients without composing.  One class per genus is decided without
+composing either: every reduced form must lie on the reduction boundary.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from itertools import starmap
+from heapq import heappop, heappush, heapreplace
+from itertools import compress, starmap
 from math import gcd, isqrt, prod
-from typing import TYPE_CHECKING
 
 from ._factor import factorize, squarefree_decomposition
 from .errors import ImprimitiveInput, InputTooLarge, NotReduced
-from .forms import Form, check_discriminant, compose, form_sort_key, power, principal_form
-
-if TYPE_CHECKING:
-    from collections.abc import Iterable, Iterator
+from .forms import (
+    Form,
+    _compose_triples,
+    check_discriminant,
+    compose,
+    form_sort_key,
+    power,
+    principal_form,
+)
 
 # Entries per discriminant cache.  A long-lived process must not grow without
 # bound, yet the cache should never evict on the traffic it serves: every
@@ -42,10 +54,9 @@ _MAX_SCAN_BOUND = 4 * 10**6
 
 
 # Below this a, testing every b of the right parity in (-a, a] is cheaper than
-# factoring a and solving for b.  Most discriminants that a scan visits meet
-# a form off the boundary below it and never reach the solver.
+# solving for b.  Most discriminants that a scan visits meet a form off the
+# boundary below it and never reach the solver.
 _SEARCH_BELOW = 32
-_PRIMES_BELOW_SEARCH = tuple(p for p in range(2, _SEARCH_BELOW) if all(p % q for q in range(2, p)))
 
 
 def _sqrt_mod_prime(n: int, p: int) -> int | None:
@@ -99,51 +110,73 @@ def _k_roots(p: int, q: int, d: int) -> tuple[int, ...]:
     return tuple(roots)
 
 
+@lru_cache(maxsize=None)
+def _prime_power_table(bits: int) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    # (q, p) for every prime power q = p^e below n = 2^(bits + 1), by q; and
+    # for each prime but the last, the index in that list of the next prime.
+    # For a < 2^bits there is a prime between a and n (Bertrand), so walks
+    # along the list from a stop before its end.  Shared by every d; bits is
+    # at most 16, since a <= sqrt(10^10 / 3).
+    n = 2 << bits
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    primes = list(compress(range(n), sieve))
+    powers = []
+    for p in primes:
+        q = p
+        while q < n:
+            powers.append((q, p))
+            q *= p
+    powers.sort()
+    index = {q: i for i, (q, _) in enumerate(powers)}
+    return powers, {p: index[nxt] for p, nxt in zip(primes, primes[1:])}
+
+
 def _solved_b(d: int, amax: int) -> Iterator[tuple[int, list[int]]]:
-    """(a, the sorted b in (-a, a] with b^2 = d (mod 4a)) for a = _SEARCH_BELOW, ..., amax.
+    """(a, the sorted b in (-a, a] with b^2 = d (mod 4a)) for each such a in _SEARCH_BELOW..amax.
 
     With b = 2k + eps, b^2 = d (mod 4a) is k^2 + eps*k + (eps - d)/4 = 0 (mod a),
     and b mod 2a runs over (-a, a] as k runs mod a.  The roots mod a are
     combined by CRT from the roots modulo the prime powers of a (Cohen, Sec.
-    5.3).  a is factored by an incremental sieve, which holds a prime from its
-    square on, and a prime power's roots are found when first needed, so
-    nothing is computed for an a the caller does not reach.
+    5.3), so only the a whose every prime power has roots are visited.  They
+    come by increasing a from a heap of products a = m * q, q the power of the
+    largest prime of a: taking a off the heap puts back m times the next prime
+    power of a prime above those of m and, if q has roots, a times the next
+    prime.  A prime power's roots are found when it is taken off as a factor
+    of some a, so nothing is computed above an a the caller does not reach.
     """
     eps = d & 1
-    sieve: dict[int, list[int]] = {}  # next multiple -> the primes p <= sqrt of it that divide it
-    for p in _PRIMES_BELOW_SEARCH:
-        if p * p <= amax:
-            sieve.setdefault(max(p * p, -(-_SEARCH_BELOW // p) * p), []).append(p)
+    powers, next_prime = _prime_power_table(amax.bit_length())
     roots_mod: dict[int, tuple[int, ...]] = {}
-    for a in range(_SEARCH_BELOW, amax + 1):
-        primes = sieve.pop(a, None)
-        if primes is None:  # a is prime
-            if a * a <= amax:
-                sieve[a * a] = [a]
-            parts = [(a, a)]
+    # (a, index of q in powers, m, the largest prime of m, the roots mod m)
+    heap: list[tuple[int, int, int, int, list[int]]] = [(2, 0, 1, 1, [0])]
+    while heap:
+        a, i, m, pm, ks = heap[0]
+        j = i + 1
+        while powers[j][1] <= pm:  # a power of a prime of m
+            j += 1
+        sibling = m * powers[j][0]
+        if sibling <= amax:
+            heapreplace(heap, (sibling, j, m, pm, ks))
         else:
-            n, parts = a, []
-            for p in primes:
-                if a + p <= amax:
-                    sieve.setdefault(a + p, []).append(p)
-                q = p
-                n //= p
-                while n % p == 0:
-                    n //= p
-                    q *= p
-                parts.append((p, q))
-            if n > 1:  # the one prime factor above sqrt(a)
-                parts.append((n, n))
-        mod, ks = 1, [0]
-        for p, q in parts:
-            rq = roots_mod.get(q)
-            if rq is None:
-                rq = roots_mod[q] = _k_roots(p, q, d)
-            inv = pow(mod, -1, q)
-            ks = [k + mod * ((r - k) * inv % q) for k in ks for r in rq]
-            mod *= q
-        two_a = 2 * a
-        yield a, sorted(b - two_a if b > a else b for b in (2 * k + eps for k in ks))
+            heappop(heap)
+        q, p = powers[i]
+        rq = roots_mod.get(q)
+        if rq is None:
+            rq = roots_mod[q] = _k_roots(p, q, d)
+        if not rq:
+            continue
+        inv = pow(m, -1, q)
+        ks = [k + m * ((r - k) * inv % q) for k in ks for r in rq]
+        j = next_prime[p]
+        if a * powers[j][0] <= amax:
+            heappush(heap, (a * powers[j][0], j, a, p, ks))
+        if a >= _SEARCH_BELOW:
+            two_a = 2 * a
+            yield a, sorted(b - two_a if b > a else b for b in (2 * k + eps for k in ks))
 
 
 def iter_reduced_primitive_forms(d: int) -> Iterator[tuple[int, int, int]]:
@@ -171,6 +204,7 @@ def iter_reduced_primitive_forms(d: int) -> Iterator[tuple[int, int, int]]:
                 yield a, b, c
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def reduced_primitive_forms(d: int) -> tuple[Form, ...]:
     """Cl(d) as its reduced primitive forms, sorted; |d| above 10^10 raises InputTooLarge."""
     if check_discriminant(d) < -_MAX_CLASS_GROUP_ABS_D:
@@ -213,43 +247,62 @@ def _decompose(elements: tuple[Form, ...], identity: Form) -> tuple[tuple[Form, 
     # G/S, and it is met in the scan after x was, when the best order is
     # already >= k; under the strict `>` it can never be picked, so no walk
     # starts from it.  The pick is therefore always a walk start, and x^k is
-    # the end of its walk.  An order equal to |G/S| cannot be beaten, which
-    # ends the scan.
+    # the end of its walk.  The first pick needs no adjustment, so its walk
+    # is its span.
+    #
+    # order[y] is the order in G/S of the start of the walk that met y last,
+    # for the S of that walk; the order of y in G/S divides it then, and
+    # still as S grows.  The exponent of G/S divides |G/S| and the order of
+    # the previous pick (the exponent of the previous quotient), so it
+    # divides `most`.  A y whose bound gcd(order[y], most) is no better than
+    # the best order so far is not walked, and an order equal to `most`
+    # cannot be beaten, which ends the scan.  Neither changes the pick.
+    #
+    # The walks and spans compose plain triples with the unchecked core of
+    # forms.compose: every element is a reduced primitive form of one
+    # discriminant, and a triple hashes and compares like the Form it stands
+    # for.  The adjustment composes Forms, once per generator.
     h = len(elements)
     gens: list[tuple[Form, int]] = []
-    span: dict[Form, tuple[int, ...]] = {identity: ()}
+    span: dict[tuple[int, int, int], tuple[int, ...]] = {identity: ()}
+    order: dict[tuple[int, int, int], int] = {}
+    most = h
     while len(span) < h:
-        quotient = h // len(span)
-        walked: set[Form] = set()
-        best, best_k, best_end = None, 0, None
+        most = gcd(most, h // len(span))
+        best, best_k, best_walk, best_end = None, 0, [], None
         for x in elements:
-            if x in span or x in walked:
+            if x in span or x in order and gcd(order[x], most) <= best_k:
                 continue
-            k, p = 1, x
+            walk, p = [x], _compose_triples(x, x)
             while p not in span:
-                walked.add(p)
-                p = compose(p, x)
-                k += 1
+                walk.append(p)
+                p = _compose_triples(p, x)
+            k = len(walk) + 1
+            order.update(dict.fromkeys(walk, k))
             if k > best_k:
-                best, best_k, best_end = x, k, p
-                if k == quotient:
+                best, best_k, best_walk, best_end = x, k, walk, p
+                if k == most:
                     break
         assert best is not None
         x, k = best, best_k
-        exps = span[best_end]  # x^k in terms of current generators
-        for (g, _), e in zip(gens, exps):
-            assert e % k == 0, "maximal-order pick violated divisibility"
-            x = compose(x, power(g, -(e // k)))
-        new_span: dict[Form, tuple[int, ...]] = {}
-        for elem, vec in span.items():
-            p = elem
-            for t in range(k):
-                new_span[p] = vec + (t,)
-                if t + 1 < k:
-                    p = compose(p, x)
-        assert len(new_span) == len(span) * k
-        span = new_span
+        if gens:
+            exps = span[best_end]  # x^k in terms of current generators
+            for (g, _), e in zip(gens, exps):
+                assert e % k == 0, "maximal-order pick violated divisibility"
+                x = compose(x, power(g, -(e // k)))
+            new_span: dict[tuple[int, int, int], tuple[int, ...]] = {}
+            for elem, vec in span.items():
+                p = elem
+                for t in range(k):
+                    new_span[p] = vec + (t,)
+                    if t + 1 < k:
+                        p = _compose_triples(p, x)
+            assert len(new_span) == len(span) * k
+            span = new_span
+        else:
+            span = {p: (t,) for t, p in enumerate([identity, *best_walk])}
         gens.append((x, k))
+        most = k
     assert prod(k for _, k in gens) == h
     for (_, k1), (_, k2) in zip(gens, gens[1:]):
         assert k1 % k2 == 0
@@ -265,7 +318,7 @@ def class_group(d: int) -> ClassGroup:
 
 
 def class_number(d: int) -> int:
-    return class_group(d).order
+    return len(reduced_primitive_forms(d))
 
 
 class GenusPartition(namedtuple("GenusPartition", "cosets principal_genus")):
@@ -291,23 +344,32 @@ class GenusPartition(namedtuple("GenusPartition", "cosets principal_genus")):
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def genus_partition(group: ClassGroup) -> GenusPartition:
-    """Cl(d) grouped by assigned character vector, genera in the order of their first class."""
-    d = group.discriminant
+def _genera(d: int) -> GenusPartition:
+    # the genus partition of Cl(d), read off its elements without decomposing
+    elements = reduced_primitive_forms(d)
     odd_primes = sorted(p for p in factorize(-d) if p != 2)
     genera: dict[tuple[int, ...], list[Form]] = {}
-    for f in group.elements:  # elements are sorted, so genera come out ordered
+    for f in elements:  # elements are sorted, so genera come out ordered
         genera.setdefault(_characters(f, d, odd_primes), []).append(f)
     principal = next(iter(genera))
-    assert genera[principal][0] == group.identity and -1 not in principal, "principal genus first"
+    assert elements[0] == principal_form(d) and -1 not in principal, "principal genus first"
     assert len(genera) == 2 ** (len(principal) - 1), "Gauss: 2^(mu - 1) genera"
     cosets = tuple(map(frozenset, genera.values()))
     return GenusPartition(cosets, cosets[0])
 
 
+def genus_partition(group: ClassGroup) -> GenusPartition:
+    """Cl(d) grouped by assigned character vector, genera in the order of their first class.
+
+    The partition is cached per discriminant and read off the elements alone;
+    classes_per_genus and the genus verb reach it without decomposing Cl(d).
+    """
+    return _genera(group.discriminant)
+
+
 def classes_per_genus(d: int) -> int:
     """n = h/g = #Cl^2(d)."""
-    return len(genus_partition(class_group(d)).principal_genus)
+    return len(_genera(d).principal_genus)
 
 
 def _on_boundary(form: tuple[int, int, int]) -> bool:
@@ -375,7 +437,7 @@ def _characters(f: Form, d: int, odd_primes: Iterable[int]) -> tuple[int, ...]:
     # a = f(1, 0), or else c = f(0, 1).  For p | d with p | a, c is prime to p,
     # since p | c would give p | b^2 = d + 4ac against primitivity.  When 4 | d,
     # b is even, so a and c are not both even.
-    a, c = f.a, f.c
+    a, _, c = f
     chars = []
     for p in odd_primes:
         v = a if a % p else c

@@ -24,11 +24,12 @@ import sys
 
 from . import __version__
 from .classgroup import (
+    _genera,
     class_group,
+    class_number,
     classes_per_genus,
     distinct_fields,
     fundamental_data,
-    genus_partition,
     scan_one_class_per_genus,
 )
 from .errors import (
@@ -217,15 +218,17 @@ def _render_classgroup(result, out):
 
 
 def _run_genus(args, warnings):
-    g = class_group(args.d)
-    part = genus_partition(g)
+    # classes_per_genus computes the genera from the elements alone, so Cl(d)
+    # is not decomposed; the cosets are then read from the same cache
+    n = classes_per_genus(args.d)
+    cosets = [_form_list(c) for c in _genera(args.d).cosets]
     return {
         "d": args.d,
-        "h": g.order,
-        "g": part.genus_count,
-        "n": len(part.principal_genus),
-        "principal_genus": _form_list(part.principal_genus),
-        "cosets": [_form_list(c) for c in part.cosets],
+        "h": class_number(args.d),
+        "g": len(cosets),
+        "n": n,
+        "principal_genus": cosets[0],  # the genus of the identity comes first
+        "cosets": cosets,
     }
 
 
@@ -273,7 +276,7 @@ def _run_scan(args, warnings):
     warnings.append(_SCAN_CAVEAT)
     records = []
     for d in hits:
-        h = class_group(d).order
+        h = class_number(d)
         n = classes_per_genus(d)
         fd = fundamental_data(d)
         records.append(

@@ -12,6 +12,9 @@ sorting Cl(d) for display still uses form_sort_key.
 Reduction is classical Gauss reduction (Cohen, Alg. 5.4.2); composition is
 Dirichlet composition of primitive forms (Cohen, Alg. 5.4.7) followed by
 reduction.  The discriminants handled here are desk-scale, so no NUCOMP.
+compose checks its inputs and runs _compose_triples, the unchecked core on
+plain (a, b, c) triples, which the class-group decomposition calls directly
+on forms it already knows to be reduced, primitive and of one discriminant.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ class Form(tuple):
 
     def reduced(self) -> Form:
         """The unique reduced representative of the SL2(Z)-class."""
-        return _reduce(*self)
+        return Form(*_reduced(*self))
 
     def inverse(self) -> Form:
         """Reduced inverse class; corresponds to b -> -b."""
@@ -144,7 +147,8 @@ class Form(tuple):
 
     def as_json(self) -> dict[str, str]:
         # decimal strings so that consumers with 64-bit ints survive
-        return {"a": str(self.a), "b": str(self.b), "c": str(self.c)}
+        a, b, c = self
+        return {"a": str(a), "b": str(b), "c": str(c)}
 
     @classmethod
     def from_json(cls, obj: dict) -> Form:
@@ -154,19 +158,20 @@ class Form(tuple):
             raise ParseError(f"bad form object {obj!r}") from exc
 
 
-def _reduce(a: int, b: int, c: int) -> Form:
-    # Gauss reduction of a positive definite (a, b, c), which need not be a Form yet
+def _reduced(a: int, b: int, c: int) -> tuple[int, int, int]:
+    # Gauss reduction of a positive definite (a, b, c), on plain integers
     r = (a - b) // (2 * a)  # normalize b into (-a, a]
     b, c = b + 2 * r * a, a * r * r + b * r + c
     while not (-a < b <= a <= c and (a != c or b >= 0)):
         s = (c + b) // (2 * c)
         a, b, c = c, -b + 2 * s * c, c * s * s - b * s + a
-    return Form(a, b, c)
+    return a, b, c
 
 
-def form_sort_key(f: Form) -> tuple[int, int, int, int]:
+def form_sort_key(f: Form) -> tuple[int, int, bool, int]:
     """Deterministic display order: identity first, +b before -b."""
-    return (f.a, abs(f.b), 0 if f.b >= 0 else 1, f.c)
+    a, b, c = f
+    return (a, abs(b), b < 0, c)
 
 
 def principal_form(d: int) -> Form:
@@ -177,18 +182,24 @@ def principal_form(d: int) -> Form:
     return Form(1, 1, (1 - d) // 4)
 
 
-def _xgcd(x: int, y: int) -> tuple[int, int, int]:
-    # returns (g, u, v) with u*x + v*y = g = gcd(x, y)
-    g, u, v = x, 1, 0
-    g2, u2, v2 = y, 0, 1
-    while g2:
-        q = g // g2
-        g, g2 = g2, g - q * g2
-        u, u2 = u2, u - q * u2
-        v, v2 = v2, v - q * v2
-    if g < 0:
-        g, u, v = -g, -u, -v
-    return g, u, v
+def _compose_triples(f1: tuple[int, int, int], f2: tuple[int, int, int]) -> tuple[int, int, int]:
+    # Cohen, Alg. 5.4.7 on primitive triples of one discriminant, unchecked;
+    # the reduced triple.  The Bezout coefficients come from modular inverses.
+    a1, b1, c1 = f1
+    a2, b2, c2 = f2
+    if a1 > a2:
+        a1, b1, c1, a2, b2, c2 = a2, b2, c2, a1, b1, c1
+    s = (b1 + b2) // 2
+    n = b2 - s
+    d = gcd(a1, a2)
+    y1 = pow(a2 // d, -1, a1 // d)  # y1*a2 = d (mod a1)
+    d1 = gcd(s, d)
+    x2 = pow(s // d1, -1, d // d1)  # x2*s - y2*d = d1
+    y2 = (x2 * s - d1) // d
+    v1 = a1 // d1
+    v2 = a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    return _reduced(v1 * v2, b2 + 2 * v2 * r, (c2 * d1 + r * (b2 + v2 * r)) // v1)
 
 
 def compose(f1: Form, f2: Form) -> Form:
@@ -204,27 +215,7 @@ def compose(f1: Form, f2: Form) -> Form:
         raise MismatchedDiscriminant(f"discriminants differ: {disc1} vs {disc2}")
     if gcd(a1, b1, c1) != 1 or gcd(a2, b2, c2) != 1:
         raise ImprimitiveInput("composition requires primitive forms")
-    if a1 > a2:
-        a1, b1, c1, a2, b2, c2 = a2, b2, c2, a1, b1, c1
-    s = (b1 + b2) // 2
-    n = b2 - s
-    if a2 % a1 == 0:
-        y1, d = 0, a1
-    else:
-        d, u, _ = _xgcd(a2, a1)
-        y1 = u
-    if s % d == 0:
-        y2, x2, d1 = -1, 0, d
-    else:
-        d1, u, v = _xgcd(s, d)
-        x2, y2 = u, -v
-    v1 = a1 // d1
-    v2 = a2 // d1
-    r = (y1 * y2 * n - x2 * c2) % v1
-    b3 = b2 + 2 * v2 * r
-    a3 = v1 * v2
-    c3 = (c2 * d1 + r * (b2 + v2 * r)) // v1
-    return _reduce(a3, b3, c3)
+    return Form(*_compose_triples(f1, f2))
 
 
 def power(f: Form, k: int) -> Form:

@@ -32,11 +32,10 @@ from mpmath import mp, mpc
 
 from ._factor import factorize
 from .classgroup import (
-    class_group,
+    _genera,
     class_number,
     classes_per_genus,
     fundamental_data,
-    genus_partition,
     is_two_torsion,
 )
 from .errors import InconsistentPair
@@ -99,10 +98,10 @@ def genus_of_transcendental_lattice(q: Form) -> frozenset[Form]:
     """Intersection forms in the genus of q: content-rescaled coset of the
     principal genus through the primitive part.  This is exactly the set of
     Galois-conjugate transcendental lattices.  For primitive q it is the
-    coset that genus_partition caches, not a copy."""
+    cached coset of genus_partition, not a copy."""
     qp = q.primitive_part().reduced()
     m = q.content()
-    coset = genus_partition(class_group(qp.discriminant())).coset_of(qp)
+    coset = _genera(qp.discriminant()).coset_of(qp)
     return coset if m == 1 else frozenset(f.scaled(m) for f in coset)
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .classgroup import class_group, fundamental_data
+from .classgroup import fundamental_data, reduced_primitive_forms
 from .errors import FieldMismatch
-from .forms import Form, _xgcd, compose
+from .forms import Form, compose
 
 Rational = int | Fraction
 
@@ -189,6 +189,20 @@ def lattice_from_form(f: Form) -> QuadLattice:
     return lat
 
 
+def _xgcd(x: int, y: int) -> tuple[int, int, int]:
+    # returns (g, u, v) with u*x + v*y = g = gcd(x, y)
+    g, u, v = x, 1, 0
+    g2, u2, v2 = y, 0, 1
+    while g2:
+        q = g // g2
+        g, g2 = g2, g - q * g2
+        u, u2 = u2, u - q * u2
+        v, v2 = v2, v - q * v2
+    if g < 0:
+        g, u, v = -g, -u, -v
+    return g, u, v
+
+
 def _hnf_two_columns(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], int]:
     # Hermite normal form of an n x 2 integer matrix of row rank 2:
     # returns ((p, q), r) for the basis (p, q), (0, r) with p, r > 0, 0 <= q < r.
@@ -272,7 +286,7 @@ def galois_orbit_classes(q: Form) -> frozenset[Form]:
     qp = q.primitive_part().reduced()
     m = q.content()
     orbit = set()
-    for s in class_group(qp.discriminant()).elements:
+    for s in reduced_primitive_forms(qp.discriminant()):
         t = compose(compose(s, s), qp)
         orbit.add(t.scaled(m))
     return frozenset(orbit)

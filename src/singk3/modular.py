@@ -33,14 +33,10 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import ceil, exp, isqrt, log, log2, pi, sqrt
-from typing import TYPE_CHECKING
 
-from .classgroup import class_group, is_two_torsion
+from .classgroup import is_two_torsion, reduced_primitive_forms
 from .errors import InputTooLarge, PrecisionExhausted
 from .forms import Form
-
-if TYPE_CHECKING:
-    from mpmath import mpc
 
 DEFAULT_PRECISION_BITS = 428  # ~128 decimal digits
 _GUARD_BITS = 32
@@ -98,10 +94,10 @@ def _series_terms(log2_q: float, wp: int) -> int:
     return n
 
 
-def _j_in_fundamental_domain(tau) -> mpc:
-    # q-series evaluation; Im(tau) >= sqrt(3)/2.  j grows like 1/q, so the
-    # working precision is raised by log2(1/|q|) bits to keep E4^3 - E6^2
-    # resolvable; the caller rounds back down.
+def _j_in_fundamental_domain(tau):
+    # q-series evaluation, an mpc; Im(tau) >= sqrt(3)/2.  j grows like 1/q,
+    # so the working precision is raised by log2(1/|q|) bits to keep
+    # E4^3 - E6^2 resolvable; the caller rounds back down.
     from mpmath import mp
 
     extra = max(0, int(2 * mp.pi * mp.im(tau) / mp.ln(2)) + 16)
@@ -121,8 +117,8 @@ def _j_in_fundamental_domain(tau) -> mpc:
         return 1728 * num / (num - e6**2)
 
 
-def j_of_form(f: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpc:
-    """j(tau(F)), tau(F) = (-b + sqrt(d))/(2a), with j(i) = 1728.
+def j_of_form(f: Form, precision_bits: int = DEFAULT_PRECISION_BITS):
+    """j(tau(F)) as an mpmath mpc, tau(F) = (-b + sqrt(d))/(2a), with j(i) = 1728.
 
     The form is reduced exactly first; the value is rounded to
     precision_bits + _GUARD_BITS bits.  |d| > _MAX_J_ABS_D or precision_bits >
@@ -142,7 +138,7 @@ def _height_precision_bits(d: int) -> int:
     # log2 of prod (1 + |j_F|) <= prod (2080 + e^x_F), x_F = pi sqrt|d| / a_F
     # (|j| <= 1/|q| + 2079, Enge 2009), which bounds every coefficient, plus
     # log2 h and guard bits
-    forms = class_group(d).elements
+    forms = reduced_primitive_forms(d)
     xs = [pi * sqrt(-d) / f.a for f in forms]
     log2_height = sum(x / log(2) + log2(1 + 2080 * exp(-x)) for x in xs)
     return ceil(log2_height + log2(len(forms))) + 16
@@ -440,7 +436,7 @@ def _fixed_j(f: Form, wp: int) -> tuple[int, int]:
 def _approximate_coefficients(d: int, wp: int) -> tuple[list[int], int]:
     # prod (x - j_F) over Cl(d) at wp + _GUARD_BITS bits, constant term first, and
     # e with every coefficient within 2^e of the true integer (certificate above)
-    forms = class_group(d).elements
+    forms = reduced_primitive_forms(d)
     bits = wp + _GUARD_BITS
     coeffs = [1 << bits]
     roots = 0

@@ -1,9 +1,11 @@
+import io
+import json
 import random
 from math import gcd, prod
 
 import pytest
 
-from singk3 import classgroup, forms
+from singk3 import classgroup, cli, forms
 from singk3.classgroup import (
     class_group,
     class_number,
@@ -69,6 +71,26 @@ def test_enumeration_matches_the_reference_loop():
             assert_enumeration_matches_reference(-n)
     for d in POOLED_STRUCTURE + PRIME_POWER_HEAVY + (-10000003,):
         assert_enumeration_matches_reference(d)
+
+
+def test_enumeration_solves_no_prime_power_past_the_forms_read(monkeypatch):
+    # the one-class-per-genus scan stops at the first form off the boundary,
+    # so the solver may find roots only for prime powers up to the a it reached
+    solved = []
+    plain = classgroup._k_roots
+
+    def counting(p, q, d):
+        solved.append(q)
+        return plain(p, q, d)
+
+    monkeypatch.setattr(classgroup, "_k_roots", counting)
+    for d in POOLED_STRUCTURE[:4] + (-100000007, -(2**21)):
+        for stop in (32, 33, 100, 500):
+            solved.clear()
+            for a, _, _ in iter_reduced_primitive_forms(d):
+                if a >= stop:
+                    break
+            assert solved and max(solved) <= a, (d, stop, max(solved), a)
 
 
 def test_square_roots_modulo_primes():
@@ -140,26 +162,47 @@ def test_generators_match_reference_on_large_non_cyclic_groups():
 
 
 def count_compositions(monkeypatch) -> list[int]:
+    # every composition runs the unchecked core: the decomposition's walks
+    # call it directly, compose and power through forms
     calls = [0]
-    plain = forms.compose
+    plain = forms._compose_triples
 
     def counting(f1, f2):
         calls[0] += 1
         return plain(f1, f2)
 
-    monkeypatch.setattr(classgroup, "compose", counting)
-    monkeypatch.setattr(forms, "compose", counting)  # power composes through forms
+    monkeypatch.setattr(classgroup, "_compose_triples", counting)
+    monkeypatch.setattr(forms, "_compose_triples", counting)
     return calls
 
 
 def test_decomposition_composes_a_few_times_per_class(monkeypatch):
     calls = count_compositions(monkeypatch)
-    # cyclic, h = 706; and 40x4x2x2, h = 640, where no pick has order |G/S|
-    for d, h in ((-10000003, 706), (-8323968, 640)):
-        calls[0] = 0
-        group = class_group.__wrapped__(d)  # bypass the cache
-        assert group.order == h
-        assert 0 < calls[0] < 8 * h, (d, calls[0])
+    # cyclic, h = 706: one walk of h - 1 steps is the whole span
+    calls[0] = 0
+    assert class_group.__wrapped__(-10000003).order == 706  # bypass the cache
+    assert 0 < calls[0] <= 706, calls[0]
+    # 40x4x2x2, h = 640, where no pick has order |G/S|
+    calls[0] = 0
+    assert class_group.__wrapped__(-8323968).order == 640
+    assert 0 < calls[0] < 8 * 640, calls[0]
+
+
+def test_elements_only_callers_do_not_decompose(monkeypatch):
+    def refuse(elements, identity):
+        raise AssertionError("Cl(d) was decomposed")
+
+    monkeypatch.setattr(classgroup, "_decompose", refuse)
+    # h and n; -1049892 has Cl = Z/134 x Z/2, so n = #Cl^2 = 67
+    for d, h, n in ((-56, 4, 2), (-1049892, 268, 67)):
+        classgroup.reduced_primitive_forms.cache_clear()
+        classgroup._genera.cache_clear()
+        out = io.StringIO()
+        assert cli.run(["genus", str(d), "--json"], out=out) == 0
+        assert json.loads(out.getvalue())["result"]["n"] == n
+        classgroup.reduced_primitive_forms.cache_clear()
+        classgroup._genera.cache_clear()
+        assert (classes_per_genus(d), class_number(d)) == (n, h)
 
 
 @pytest.mark.slow
@@ -243,9 +286,8 @@ def test_records_are_immutable_value_tuples():
 def test_genus_partition_composes_nothing(monkeypatch):
     calls = count_compositions(monkeypatch)
     for d in (-56, -5460, -8323968, -446185740):
-        group = class_group(d)
         calls[0] = 0
-        genus_partition.__wrapped__(group)  # bypass the cache
+        classgroup._genera.__wrapped__(d)  # bypass the cache
         assert calls[0] == 0, (d, calls[0])
 
 
@@ -381,5 +423,10 @@ def test_discriminant_caches_are_bounded():
         if n % 4 in (0, 3):
             genus_partition(class_group(-n))
             fundamental_data(-n)
-    for cached in (class_group, genus_partition, fundamental_data):
+    for cached in (
+        class_group,
+        classgroup.reduced_primitive_forms,
+        classgroup._genera,
+        fundamental_data,
+    ):
         assert cached.cache_info().currsize <= 1024

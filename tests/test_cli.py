@@ -293,15 +293,16 @@ NUMERIC_LAYERS = (
 INTROSPECTION = ("dataclasses", "inspect", "ast")
 
 
-def modules_left_loaded(argv, modules=NUMERIC_LAYERS) -> str:
-    # which of `modules` a fresh interpreter holds after the command
+def modules_left_loaded(argv, modules=NUMERIC_LAYERS, flags=()) -> str:
+    # which of `modules` a fresh interpreter, started with `flags`, holds after the command
     code = (
         "import sys; from singk3.cli import run; run(sys.argv[1:]); "
         f"print(sorted(m for m in {modules!r} if m in sys.modules), file=sys.stderr)"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *flags, "-c", code, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
     )
     return proc.stderr.strip().splitlines()[-1]
 
@@ -315,15 +316,24 @@ def test_classpoly_loads_neither_k3_nor_lattices():
     assert modules_left_loaded(["classpoly", "-23"]) == "['singk3.modular']"
 
 
+COLD_VERBS = (
+    ["classgroup", "-23"],
+    ["genus", "-56"],
+    ["scan", "--bound", "100"],
+    ["classpoly", "-23"],
+    ["--version"],
+)
+
+
 def test_cold_verbs_load_no_dataclasses():
-    for argv in (
-        ["classgroup", "-23"],
-        ["genus", "-56"],
-        ["scan", "--bound", "100"],
-        ["classpoly", "-23"],
-        ["--version"],
-    ):
+    for argv in COLD_VERBS:
         assert modules_left_loaded(argv, INTROSPECTION) == "[]", argv
+
+
+def test_cold_verbs_load_no_typing():
+    # -S: no site hooks, which may load typing before singk3 runs
+    for argv in COLD_VERBS:
+        assert modules_left_loaded(argv, ("typing",), flags=("-S",)) == "[]", argv
 
 
 def test_computation_errors_exit_3(capsys, monkeypatch):

@@ -372,7 +372,7 @@ def test_class_polynomial_refuses_oversized_d(monkeypatch):
     def no_enumeration(d):
         raise AssertionError("enumerated before the size check")
 
-    monkeypatch.setattr(modular, "class_group", no_enumeration)
+    monkeypatch.setattr(modular, "reduced_primitive_forms", no_enumeration)
     too_big = -(modular._MAX_CLASSPOLY_ABS_D + 1)
     with pytest.raises(InputTooLarge, match=str(modular._MAX_CLASSPOLY_ABS_D)):
         class_polynomial(too_big)
