@@ -1,21 +1,21 @@
 """Class groups Cl(d), genus theory, and one-class-per-genus scans.
 
 Cl(d) is enumerated as the set of reduced primitive forms (a, b, c) of
-discriminant d, a <= sqrt(|d|/3) and |b| <= a.  For each a the b are the
-roots of b^2 = d (mod 4a), solved modulo the prime powers of a (Tonelli-Shanks
-and Hensel lifting, or a search where p = 2 or p | d) and combined by CRT;
-below a = 32 every b is tested instead.  Above it only the a whose every prime
-power has roots are visited, lazily and by increasing a, so a caller that stops
-early (the one-class-per-genus scan) pays only for the a it reached.  The
-elements are cached per d; h, the genera, the class polynomial and the Galois
-orbits read them without decomposing the group.
+discriminant d, a <= sqrt(|d|/3) and |b| <= a: the principal form for a = 1,
+and for a >= 2 the roots b of b^2 = d (mod 4a), solved modulo the prime powers
+of a (Tonelli-Shanks and Hensel lifting, or a search where p = 2 or p | d) and
+combined by CRT.  Only the a whose every prime power has roots are visited,
+lazily and by increasing a, so a caller that stops early pays only for the a it
+reached.  The elements are cached per d; h, the genera, the class polynomial
+and the Galois orbits read them without decomposing the group.
 
 The abelian group structure is found by greedy composition walks on plain
 triples, with the unchecked core of forms.compose: h - 1 compositions when
 Cl(d) is cyclic, a few per class otherwise.  The genus of a class is its vector
 of assigned characters (Cox, Primes of the Form x^2 + ny^2, Sec. 3), read off
 the coefficients without composing.  One class per genus is decided without
-composing either: every reduced form must lie on the reduction boundary.
+composing either: every reduced form must lie on the reduction boundary.  The
+scan sieves out the |d| with such a form off it at small a before that test.
 """
 
 from __future__ import annotations
@@ -48,15 +48,13 @@ _CACHE_SIZE = 1024
 
 # Size limits, set so that the slowest accepted input takes well under 45 s:
 # near |d| = 10^10, h reaches 236606 and `genus d --json` takes 9 s (260 MB);
-# `scan --bound 4000000` takes 12 s.
+# `scan --bound 4000000 --json` takes 0.5 s cold, most of it in the sieve.
 _MAX_CLASS_GROUP_ABS_D = 10**10
 _MAX_SCAN_BOUND = 4 * 10**6
 
-
-# Below this a, testing every b of the right parity in (-a, a] is cheaper than
-# solving for b.  Most discriminants that a scan visits meet a form off the
-# boundary below it and never reach the solver.
-_SEARCH_BELOW = 32
+# The largest a of the scan's sieve: at 64, 10 and 25 non-hits survive at bounds
+# 10^6 and 4 * 10^6, and a larger limit sieves longer than they take to test.
+_SIEVE_MAX_A = 64
 
 
 def _sqrt_mod_prime(n: int, p: int) -> int | None:
@@ -136,7 +134,7 @@ def _prime_power_table(bits: int) -> tuple[list[tuple[int, int]], dict[int, int]
 
 
 def _solved_b(d: int, amax: int) -> Iterator[tuple[int, list[int]]]:
-    """(a, the sorted b in (-a, a] with b^2 = d (mod 4a)) for each such a in _SEARCH_BELOW..amax.
+    """(a, the sorted b in (-a, a] with b^2 = d (mod 4a)) for each such a in 2..amax.
 
     With b = 2k + eps, b^2 = d (mod 4a) is k^2 + eps*k + (eps - d)/4 = 0 (mod a),
     and b mod 2a runs over (-a, a] as k runs mod a.  The roots mod a are
@@ -152,7 +150,7 @@ def _solved_b(d: int, amax: int) -> Iterator[tuple[int, list[int]]]:
     powers, next_prime = _prime_power_table(amax.bit_length())
     roots_mod: dict[int, tuple[int, ...]] = {}
     # (a, index of q in powers, m, the largest prime of m, the roots mod m)
-    heap: list[tuple[int, int, int, int, list[int]]] = [(2, 0, 1, 1, [0])]
+    heap: list[tuple[int, int, int, int, list[int]]] = [(2, 0, 1, 1, [0])] if amax >= 2 else []
     while heap:
         a, i, m, pm, ks = heap[0]
         j = i + 1
@@ -174,28 +172,14 @@ def _solved_b(d: int, amax: int) -> Iterator[tuple[int, list[int]]]:
         j = next_prime[p]
         if a * powers[j][0] <= amax:
             heappush(heap, (a * powers[j][0], j, a, p, ks))
-        if a >= _SEARCH_BELOW:
-            two_a = 2 * a
-            yield a, sorted(b - two_a if b > a else b for b in (2 * k + eps for k in ks))
+        yield a, sorted(b - 2 * a if b > a else b for b in (2 * k + eps for k in ks))
 
 
 def iter_reduced_primitive_forms(d: int) -> Iterator[tuple[int, int, int]]:
     """Yield (a, b, c) for every reduced primitive form of discriminant d, ordered by a, then by b."""
     check_discriminant(d)
     amax = isqrt(-d // 3)
-    parity = d & 1
-    for a in range(1, min(amax, _SEARCH_BELOW - 1) + 1):
-        four_a = 4 * a
-        b = -a + 1
-        if (b & 1) != parity:
-            b += 1
-        while b <= a:
-            num = b * b - d
-            if num % four_a == 0:
-                c = num // four_a
-                if c >= a and (a != c or b >= 0) and gcd(gcd(a, b), c) == 1:
-                    yield a, b, c
-            b += 2
+    yield 1, d & 1, ((d & 1) - d) // 4  # the principal form
     for a, bs in _solved_b(d, amax):
         four_a = 4 * a
         for b in bs:
@@ -406,7 +390,21 @@ def scan_one_class_per_genus(bound: int) -> list[int]:
         raise ValueError("bound must be >= 4")
     if bound > _MAX_SCAN_BOUND:
         raise InputTooLarge(f"scan bounds are limited to {_MAX_SCAN_BOUND}")
-    return [-n for n in range(3, bound + 1) if n % 4 in (0, 3) and is_one_class_per_genus(-n)]
+    # n = 4ac - b^2 with 0 < b < a < c and gcd(a, b, c) = 1 has a reduced form off
+    # the boundary, so a class of order above 2: sieve those n out, one strided
+    # slice per residue of c mod g = gcd(a, b) prime to g.  Survivors are decided in full.
+    survivors = (bytearray(b"\1\0\0\1") * (bound // 4 + 1))[: bound + 1]  # n = 0, 3 (mod 4)
+    survivors[0] = 0
+    zeros = memoryview(bytes(bound // 8 + 1))
+    for a in range(2, _SIEVE_MAX_A + 1):
+        for b in range(1, a):
+            g = gcd(a, b)
+            step = 4 * a * g
+            for r in range(g):
+                if gcd(r, g) == 1:
+                    start = 4 * a * (a + 1 + (r - a - 1) % g) - b * b
+                    survivors[start::step] = zeros[: len(range(start, bound + 1, step))]
+    return [-n for n in compress(range(bound + 1), survivors) if is_one_class_per_genus(-n)]
 
 
 class FundamentalData(namedtuple("FundamentalData", "field_discriminant conductor")):

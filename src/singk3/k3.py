@@ -192,12 +192,6 @@ def _is_zero(v: Value) -> bool:
     return isinstance(v, Fraction) and v == 0
 
 
-def _mul(u, v):
-    if isinstance(u, (int, Fraction)) and isinstance(v, (int, Fraction)):
-        return Fraction(u) * Fraction(v)
-    return mp.mpmathify(u) * mp.mpmathify(v)
-
-
 @dataclass(frozen=True, eq=False)
 class WeierstrassModel:
     """y^2 = x^3 + a4(t)*x + a6(t) in the layout of the pencil equations."""
@@ -208,24 +202,30 @@ class WeierstrassModel:
     degenerate_rule_applied: bool
     precision_bits: int
 
+    def _mul(self, u, v):
+        # exact on rationals; otherwise rounded at the model's precision plus guard bits
+        if isinstance(u, (int, Fraction)) and isinstance(v, (int, Fraction)):
+            return Fraction(u) * Fraction(v)
+        return mp.fmul(u, v, prec=self.precision_bits + _GUARD_BITS)
+
     def a4_polynomial(self) -> dict[int, Value]:
-        A, B = self.A, self.B
+        A, B, mul = self.A, self.B, self._mul
         if _is_zero(A):
             return {}
-        coeff = _mul(-3, A) if _is_zero(B) else _mul(-3, _mul(A, B))
+        coeff = mul(-3, A) if _is_zero(B) else mul(-3, mul(A, B))
         return {4: coeff}
 
     def a6_polynomial(self) -> dict[int, Value]:
-        A, B = self.A, self.B
+        A, B, mul = self.A, self.B, self._mul
         top, mid, low = (7, 6, 5) if self.kind == "inose_pencil" else (8, 6, 4)
         if _is_zero(B):
             return {top: A, low: A}
         if _is_zero(A):
-            bb = _mul(B, B)
-            return {top: bb, mid: _mul(-2, bb), low: B}
-        ab = _mul(A, B)
-        abb = _mul(ab, B)
-        return {top: abb, mid: _mul(-2, abb), low: ab}
+            bb = mul(B, B)
+            return {top: bb, mid: mul(-2, bb), low: B}
+        ab = mul(A, B)
+        abb = mul(ab, B)
+        return {top: abb, mid: mul(-2, abb), low: ab}
 
     def equation(self) -> str:
         """Human-readable equation in the factored layout; exact rational

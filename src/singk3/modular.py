@@ -121,8 +121,9 @@ def j_of_form(f: Form, precision_bits: int = DEFAULT_PRECISION_BITS):
     """j(tau(F)) as an mpmath mpc, tau(F) = (-b + sqrt(d))/(2a), with j(i) = 1728.
 
     The form is reduced exactly first; the value is rounded to
-    precision_bits + _GUARD_BITS bits.  |d| > _MAX_J_ABS_D or precision_bits >
-    _MAX_PRECISION_BITS raises InputTooLarge.
+    precision_bits + _GUARD_BITS bits, and its imaginary part is exactly 0 on a
+    2-torsion class (b = 0, a = b or a = c), where j is real.  |d| >
+    _MAX_J_ABS_D or precision_bits > _MAX_PRECISION_BITS raises InputTooLarge.
     """
     from mpmath import mp, mpf
 
@@ -131,7 +132,8 @@ def j_of_form(f: Form, precision_bits: int = DEFAULT_PRECISION_BITS):
     _check_j_range(r.discriminant())
     with mp.workprec(precision_bits + _GUARD_BITS):
         tau = mp.mpc(mpf(-r.b), mp.sqrt(-r.discriminant())) / (2 * r.a)
-        return +_j_in_fundamental_domain(tau)
+        j = +_j_in_fundamental_domain(tau)
+        return mp.mpc(j.real) if is_two_torsion(r) else j
 
 
 def _height_precision_bits(d: int) -> int:

@@ -85,7 +85,7 @@ def test_enumeration_solves_no_prime_power_past_the_forms_read(monkeypatch):
 
     monkeypatch.setattr(classgroup, "_k_roots", counting)
     for d in POOLED_STRUCTURE[:4] + (-100000007, -(2**21)):
-        for stop in (32, 33, 100, 500):
+        for stop in (2, 3, 8, 32, 33, 100, 500):
             solved.clear()
             for a, _, _ in iter_reduced_primitive_forms(d):
                 if a >= stop:
@@ -336,6 +336,21 @@ def test_scan_examples():
     assert scan_one_class_per_genus(4) == [-3, -4]
     with pytest.raises(ValueError):
         scan_one_class_per_genus(3)
+
+
+def test_scan_sieve_leaves_only_the_hits(monkeypatch):
+    # the sieve marks only n with a form off the boundary, so the scan equals
+    # the plain filter; at 10^5 it leaves nothing else to test in full
+    plain = [-n for n in range(3, 10**5 + 1) if n % 4 in (0, 3) and is_one_class_per_genus(-n)]
+    tested = []
+
+    def counting(d):
+        tested.append(d)
+        return is_one_class_per_genus(d)
+
+    monkeypatch.setattr(classgroup, "is_one_class_per_genus", counting)
+    assert scan_one_class_per_genus(10**5) == plain
+    assert tested == plain
 
 
 def test_scan_prefix_property():

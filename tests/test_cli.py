@@ -176,6 +176,12 @@ def test_scan_verb(capsys):
     assert any("cutoff" in w for w in env["warnings"])
 
 
+def test_scan_at_the_largest_bound_finds_no_further_records(capsys):
+    small = run_json(capsys, ["scan", "--bound", "10000"])["result"]
+    large = run_json(capsys, ["scan", "--bound", "4000000"])["result"]
+    assert large["records"] == small["records"] and len(small["records"]) == 101
+
+
 def test_deterministic_output(capsys):
     cli.run(["scan", "--bound", "200", "--json"])
     first = capsys.readouterr().out

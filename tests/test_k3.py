@@ -304,6 +304,41 @@ def test_kummer_is_base_change_of_pencil():
             assert _poly_close(a6, km.a6_polynomial(), tol)
 
 
+def test_a4_a6_coefficients_carry_the_model_precision():
+    # each coefficient agrees with the same product at twice the precision
+    for q in (Form(2, 1, 3), Form(9, 1, 9), Form(4, 2, 6)):
+        for bits in (160, 428):
+            for model in (inose_pencil(q, bits), kummer_equation(q, bits)):
+                A, B = model.A, model.B
+                assert isinstance(A, mp.mpc) and isinstance(B, mp.mpc), q
+                top, mid, low = (7, 6, 5) if model.kind == "inose_pencil" else (8, 6, 4)
+                got = {("a4", k): v for k, v in model.a4_polynomial().items()}
+                got.update({("a6", k): v for k, v in model.a6_polynomial().items()})
+                with mp.workprec(2 * bits):
+                    ab = A * B
+                    want = {("a4", 4): -3 * ab, ("a6", top): ab * B}
+                    want.update({("a6", mid): -2 * ab * B, ("a6", low): ab})
+                    assert got.keys() == want.keys(), (q, model.kind)
+                    for k, v in got.items():
+                        assert abs(v - want[k]) <= mp.ldexp(abs(want[k]), -bits), (q, bits, k)
+
+
+def test_two_torsion_classes_have_exactly_real_j():
+    # b = 0, a = b or a = c on the reduced primitive part: j, A and B are real
+    checked = 0
+    for q in reduced_forms(300):
+        qp = q.primitive_part()
+        if not (qp.b == 0 or qp.a == qp.b or qp.a == qp.c):
+            continue
+        assert analyze(q, 64).j_tau1_normalized.imag == 0, q
+        model = inose_pencil(q, 64)
+        for value in (model.A, model.B):
+            if not isinstance(value, Fraction):
+                assert value.imag == 0, q
+                checked += 1
+    assert checked > 0
+
+
 def test_imprimitive_scaling():
     # tau1(m*Q) = tau1(Q) and tau2(m*Q) = m*tau2(Q) exactly, and the lower
     # bound (classes per genus of the primitive discriminant) is unchanged
