@@ -12,41 +12,42 @@ definition.
 
 import importlib
 
-from .classgroup import (
-    ClassGroup,
-    FundamentalData,
-    GenusPartition,
-    class_group,
-    class_number,
-    classes_per_genus,
-    distinct_fields,
-    fundamental_data,
-    genus_characters,
-    genus_partition,
-    is_one_class_per_genus,
-    is_two_torsion,
-    reduced_primitive_forms,
-    scan_one_class_per_genus,
-)
-from .errors import (
-    FieldMismatch,
-    ImprimitiveInput,
-    InconsistentPair,
-    InputTooLarge,
-    InvalidDiscriminant,
-    MismatchedDiscriminant,
-    NotNegativeDiscriminant,
-    NotPositiveDefinite,
-    NotReduced,
-    ParseError,
-    PrecisionExhausted,
-    SingK3Error,
-)
-from .forms import Form, compose, power, principal_form
+__version__ = "0.1.0"
 
-# Names of the numeric layers, imported on first use: the class group verbs
-# never need mpmath or the layers built on it.
+# Every public name and the module that defines it, imported on first use: the
+# class group verbs never load mpmath or the layers built on it, and a bare
+# `import singk3` loads no submodule at all.
 _LAZY = {
+    "ClassGroup": "classgroup",
+    "FundamentalData": "classgroup",
+    "GenusPartition": "classgroup",
+    "class_group": "classgroup",
+    "class_number": "classgroup",
+    "classes_per_genus": "classgroup",
+    "distinct_fields": "classgroup",
+    "fundamental_data": "classgroup",
+    "genus_characters": "classgroup",
+    "genus_partition": "classgroup",
+    "is_one_class_per_genus": "classgroup",
+    "is_two_torsion": "classgroup",
+    "reduced_primitive_forms": "classgroup",
+    "scan_one_class_per_genus": "classgroup",
+    "FieldMismatch": "errors",
+    "ImprimitiveInput": "errors",
+    "InconsistentPair": "errors",
+    "InputTooLarge": "errors",
+    "InvalidDiscriminant": "errors",
+    "MismatchedDiscriminant": "errors",
+    "NotNegativeDiscriminant": "errors",
+    "NotPositiveDefinite": "errors",
+    "NotReduced": "errors",
+    "ParseError": "errors",
+    "PrecisionExhausted": "errors",
+    "SingK3Error": "errors",
+    "Form": "forms",
+    "compose": "forms",
+    "power": "forms",
+    "principal_form": "forms",
     "BoundsReport": "k3",
     "SurfaceClass": "k3",
     "WeierstrassModel": "k3",
@@ -73,64 +74,7 @@ _LAZY = {
     "j_of_form": "modular",
 }
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "BoundsReport",
-    "ClassGroup",
-    "ClassPolynomial",
-    "DEFAULT_PRECISION_BITS",
-    "FieldMismatch",
-    "Form",
-    "FundamentalData",
-    "GenusPartition",
-    "ImprimitiveInput",
-    "InconsistentPair",
-    "InputTooLarge",
-    "InvalidDiscriminant",
-    "MismatchedDiscriminant",
-    "NotNegativeDiscriminant",
-    "NotPositiveDefinite",
-    "NotReduced",
-    "ParseError",
-    "PrecisionExhausted",
-    "QuadElement",
-    "QuadLattice",
-    "SingK3Error",
-    "SurfaceClass",
-    "TauPair",
-    "WeierstrassModel",
-    "analyze",
-    "class_group",
-    "class_number",
-    "class_polynomial",
-    "classes_per_genus",
-    "compose",
-    "distinct_fields",
-    "fundamental_data",
-    "genus_characters",
-    "genus_of_transcendental_lattice",
-    "genus_partition",
-    "homothety_equal",
-    "inose_pencil",
-    "is_one_class_per_genus",
-    "is_two_torsion",
-    "j_of_form",
-    "kummer_equation",
-    "kummer_reduction",
-    "lattice_from_form",
-    "lem_bounds_applies",
-    "minimal_form",
-    "multiply",
-    "power",
-    "principal_form",
-    "reduced_primitive_forms",
-    "scan_one_class_per_genus",
-    "shioda_mitani_check",
-    "sm_factors",
-    "surface_class",
-    "tau_from_form",
-]
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):

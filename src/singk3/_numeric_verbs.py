@@ -19,6 +19,9 @@ from .lattices import lattice_from_form, sm_factors
 
 
 def _value_json(v, digits: int) -> dict:
+    # `digits` significant digits, within one unit in the last (the tests check
+    # this against a rerun at twice the digits); an exact zero (the imaginary
+    # part of a real value, or j at d = -3) prints as 0.0, with fewer digits
     if isinstance(v, Fraction):
         return {"type": "rational", "value": str(v)}
     re, im = (mp.nstr(x, digits, strip_zeros=False) for x in (mp.re(v), mp.im(v)))

@@ -2,10 +2,11 @@
 
 Cl(d) is enumerated as the set of reduced primitive forms (a, b, c) of
 discriminant d, a <= sqrt(|d|/3) and |b| <= a: the principal form for a = 1,
-and for a >= 2 the roots b of b^2 = d (mod 4a), solved modulo the prime powers
-of a (Tonelli-Shanks and Hensel lifting, or a search where p = 2 or p | d) and
-combined by CRT.  Only the a whose every prime power has roots are visited,
-lazily and by increasing a, so a caller that stops early pays only for the a it
+and for a >= 2 the roots b of b^2 = d (mod 4a).  One pass by increasing a
+writes a = q * m, q the power of the smallest prime of a, and combines by CRT
+the roots mod m, kept from the smaller a = m, with those mod q, solved when a
+reaches q (Tonelli-Shanks and Hensel lifting, or a search where p = 2 or
+p | d).  The pass is lazy, so a caller that stops early pays only for the a it
 reached.  The elements are cached per d; h, the genera, the class polynomial
 and the Galois orbits read them without decomposing the group.
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from heapq import heappop, heappush, heapreplace
 from itertools import compress, starmap
 from math import gcd, isqrt, prod
 
@@ -86,18 +86,18 @@ def _sqrt_mod_prime(n: int, p: int) -> int | None:
     return x
 
 
-def _k_roots(p: int, q: int, d: int) -> tuple[int, ...]:
+def _k_roots(p: int, q: int, d: int) -> list[int]:
     """Roots k modulo q = p^e of k^2 + eps*k + (eps - d)/4, eps = d mod 2."""
     eps = d & 1
     if p != 2 and d % p:
         # k = (s - eps)/2 with s^2 = d: a root mod p, lifted by Newton's method
         s = _sqrt_mod_prime(d % p, p)
         if s is None:
-            return ()
+            return []
         while (s * s - d) % q:
             s = (s - (s * s - d) * pow(2 * s, -1, q)) % q
         half = (q + 1) // 2
-        return ((s - eps) * half % q, (-s - eps) * half % q)
+        return [(s - eps) * half % q, (-s - eps) * half % q]
     # p = 2 or p | d: lift the roots mod p^j to p^(j+1) by testing every lift
     m = (eps - d) // 4
     roots, pj = [0], 1
@@ -105,74 +105,42 @@ def _k_roots(p: int, q: int, d: int) -> tuple[int, ...]:
         nxt = pj * p
         roots = [x for r in roots for x in range(r, nxt, pj) if (x * x + eps * x + m) % nxt == 0]
         pj = nxt
-    return tuple(roots)
-
-
-@lru_cache(maxsize=None)
-def _prime_power_table(bits: int) -> tuple[list[tuple[int, int]], dict[int, int]]:
-    # (q, p) for every prime power q = p^e below n = 2^(bits + 1), by q; and
-    # for each prime but the last, the index in that list of the next prime.
-    # For a < 2^bits there is a prime between a and n (Bertrand), so walks
-    # along the list from a stop before its end.  Shared by every d; bits is
-    # at most 16, since a <= sqrt(10^10 / 3).
-    n = 2 << bits
-    sieve = bytearray([1]) * n
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(n - 1) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
-    primes = list(compress(range(n), sieve))
-    powers = []
-    for p in primes:
-        q = p
-        while q < n:
-            powers.append((q, p))
-            q *= p
-    powers.sort()
-    index = {q: i for i, (q, _) in enumerate(powers)}
-    return powers, {p: index[nxt] for p, nxt in zip(primes, primes[1:])}
+    return roots
 
 
 def _solved_b(d: int, amax: int) -> Iterator[tuple[int, list[int]]]:
     """(a, the sorted b in (-a, a] with b^2 = d (mod 4a)) for each such a in 2..amax.
 
     With b = 2k + eps, b^2 = d (mod 4a) is k^2 + eps*k + (eps - d)/4 = 0 (mod a),
-    and b mod 2a runs over (-a, a] as k runs mod a.  The roots mod a are
-    combined by CRT from the roots modulo the prime powers of a (Cohen, Sec.
-    5.3), so only the a whose every prime power has roots are visited.  They
-    come by increasing a from a heap of products a = m * q, q the power of the
-    largest prime of a: taking a off the heap puts back m times the next prime
-    power of a prime above those of m and, if q has roots, a times the next
-    prime.  A prime power's roots are found when it is taken off as a factor
-    of some a, so nothing is computed above an a the caller does not reach.
+    and b mod 2a runs over (-a, a] as k runs mod a.  One pass over a = q * m,
+    q the full power of the smallest prime of a: if m > 1, the roots mod a are
+    the CRT combinations (Cohen, Sec. 5.3) of the roots mod m and mod q, kept
+    from the smaller a = m and a = q; if a = q, they are solved.  An a without
+    roots is skipped, and nothing is solved above the a at which the caller
+    stops.
     """
     eps = d & 1
-    powers, next_prime = _prime_power_table(amax.bit_length())
-    roots_mod: dict[int, tuple[int, ...]] = {}
-    # (a, index of q in powers, m, the largest prime of m, the roots mod m)
-    heap: list[tuple[int, int, int, int, list[int]]] = [(2, 0, 1, 1, [0])] if amax >= 2 else []
-    while heap:
-        a, i, m, pm, ks = heap[0]
-        j = i + 1
-        while powers[j][1] <= pm:  # a power of a prime of m
-            j += 1
-        sibling = m * powers[j][0]
-        if sibling <= amax:
-            heapreplace(heap, (sibling, j, m, pm, ks))
+    spf = list(range(amax + 1))  # smallest prime factors: p runs down, so the least writes last
+    for p in range(isqrt(amax), 1, -1):
+        spf[p * p :: p] = [p] * len(range(p * p, amax + 1, p))
+    roots: list[list[int]] = [[], [0]]  # the k mod a; m and q are at most amax / 2
+    for a in range(2, amax + 1):
+        p = q = spf[a]
+        m = a // p
+        while m % p == 0:
+            q *= p
+            m //= p
+        if m == 1:
+            ks = _k_roots(p, q, d)
+        elif roots[m] and roots[q]:
+            inv = pow(m, -1, q)
+            ks = [k + m * ((r - k) * inv % q) for k in roots[m] for r in roots[q]]
         else:
-            heappop(heap)
-        q, p = powers[i]
-        rq = roots_mod.get(q)
-        if rq is None:
-            rq = roots_mod[q] = _k_roots(p, q, d)
-        if not rq:
-            continue
-        inv = pow(m, -1, q)
-        ks = [k + m * ((r - k) * inv % q) for k in ks for r in rq]
-        j = next_prime[p]
-        if a * powers[j][0] <= amax:
-            heappush(heap, (a * powers[j][0], j, a, p, ks))
-        yield a, sorted(b - 2 * a if b > a else b for b in (2 * k + eps for k in ks))
+            ks = []
+        if 2 * a <= amax:
+            roots.append(ks)
+        if ks:
+            yield a, sorted(b - 2 * a if b > a else b for b in (2 * k + eps for k in ks))
 
 
 def iter_reduced_primitive_forms(d: int) -> Iterator[tuple[int, int, int]]:

@@ -264,7 +264,7 @@ def _pencil_values(q: Form, precision_bits: int):
     values = _rational_pencil_values(sc)
     if values is None:
         j1, j2 = _normalized_j_pair(q, precision_bits)
-        with mp.workprec(precision_bits):
+        with mp.workprec(precision_bits + _GUARD_BITS):
             values = j1 * j2, (1 - j1) * (1 - j2)
     A, B = values
     return (Fraction(0) if a_zero else A), (Fraction(0) if b_zero else B), a_zero or b_zero

@@ -122,16 +122,20 @@ def j_of_form(f: Form, precision_bits: int = DEFAULT_PRECISION_BITS):
 
     The form is reduced exactly first; the value is rounded to
     precision_bits + _GUARD_BITS bits, and its imaginary part is exactly 0 on a
-    2-torsion class (b = 0, a = b or a = c), where j is real.  |d| >
-    _MAX_J_ABS_D or precision_bits > _MAX_PRECISION_BITS raises InputTooLarge.
+    2-torsion class (b = 0, a = b or a = c), where j is real.  At d = -3, the
+    one class where j vanishes, it is exactly 0.  |d| > _MAX_J_ABS_D or
+    precision_bits > _MAX_PRECISION_BITS raises InputTooLarge.
     """
     from mpmath import mp, mpf
 
     _check_precision(precision_bits)
     r = f.primitive_part().reduced()
-    _check_j_range(r.discriminant())
+    d = r.discriminant()
+    _check_j_range(d)
+    if d == -3:
+        return mp.mpc(0)
     with mp.workprec(precision_bits + _GUARD_BITS):
-        tau = mp.mpc(mpf(-r.b), mp.sqrt(-r.discriminant())) / (2 * r.a)
+        tau = mp.mpc(mpf(-r.b), mp.sqrt(-d)) / (2 * r.a)
         j = +_j_in_fundamental_domain(tau)
         return mp.mpc(j.real) if is_two_torsion(r) else j
 

@@ -11,13 +11,17 @@ the squares, reference_class_polynomial evaluates j
 with singk3.modular.j_of_form to check the certified product and rounding,
 and pencil_conjugates moves classes with singk3's composition and lattice
 multiplication and evaluates j_of_form to check which pencil coefficients
-singk3.k3 emits as exact rationals.
+singk3.k3 emits as exact rationals.  printed_digit_faults reruns the numeric
+verbs at twice the digits, so it checks the digits they print, not the values.
 """
 
 from __future__ import annotations
 
 import heapq
+import io
+import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, isqrt
@@ -350,3 +354,50 @@ def rational_by_conjugates(conjugates) -> bool:
     return pencil_values_agree(first, mp.conj(first)) and all(
         pencil_values_agree(v, first) for v in conjugates
     )
+
+
+# The verbs whose --json output prints numeric values, and the digit counts
+# that the printed-digit oracle checks them at.
+NUMERIC_VERBS = (("bounds",), ("equation",), ("equation", "--kummer"))
+PRINTED_DIGITS = (20, 128, 300)
+
+
+def _printed_result(verb, form: Form, digits: int) -> dict:
+    from singk3 import cli
+
+    out = io.StringIO()
+    argv = [*verb, "--form", str(form), "--precision", str(digits), "--json"]
+    assert cli.run(argv, out=out) == 0, argv
+    return json.loads(out.getvalue())["result"]
+
+
+def _digit_faults(printed, reference, path: str):
+    # the paths of the components of `printed` that `reference` refutes
+    if isinstance(printed, dict) and printed.get("type") == "complex":
+        for part in ("re", "im"):
+            text = printed[part]
+            unit = Fraction(10) ** Decimal(text).as_tuple().exponent
+            if abs(Fraction(Decimal(text)) - Fraction(Decimal(reference[part]))) > unit:
+                yield f"{path}.{part} = {text}, rerun {reference[part]}"
+    elif isinstance(printed, dict):
+        assert printed.keys() == reference.keys(), path
+        for key, value in printed.items():
+            yield from _digit_faults(value, reference[key], f"{path}.{key}")
+    elif printed != reference:  # a rational, an integer or a string: exact
+        yield f"{path} = {printed!r}, rerun {reference!r}"
+
+
+def printed_digit_faults(form: Form, digits: int) -> list[str]:
+    """Every number that bounds, equation and equation --kummer print for the
+    form with --json at `digits` digits, checked against a rerun at twice the
+    digits.  A complex component must lie within one unit in its last printed
+    digit of the rerun's value (so one that prints fewer digits is held to
+    fewer); everything else must print the same.  Returns the faults found.
+    """
+    faults = []
+    for verb in NUMERIC_VERBS:
+        printed = _printed_result(verb, form, digits)
+        reference = _printed_result(verb, form, 2 * digits)
+        path = f"{' '.join(verb)} {form} at {digits} digits"
+        faults += _digit_faults(printed, reference, path)
+    return faults

@@ -6,9 +6,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from singk3 import cli, modular
 from singk3.errors import PrecisionExhausted
 from singk3.forms import Form
+
+from oracles import PRINTED_DIGITS, printed_digit_faults, reduced_forms
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -118,6 +122,26 @@ def test_equation_at_the_j_size_limit(capsys):
     # unproven "exact" 3*A*B of more than 4300 digits used to fail here
     assert cli.run(["equation", "--form", "1,0,250000"]) == 0
     assert "A = " in capsys.readouterr().out
+
+
+# Forms past the tier-1 sweep whose a4 or a6 printed a wrong last digit while
+# A and B were rounded without guard bits
+DIGIT_CASES = (Form(3, 2, 7), Form(4, 3, 6), Form(4, 3, 7), Form(3, 1, 8))
+
+
+def assert_printed_digits_correct(max_abs_d, extra=()):
+    forms = [f for f in reduced_forms(max_abs_d) if f.b >= 0] + list(extra)
+    faults = [x for f in forms for digits in PRINTED_DIGITS for x in printed_digit_faults(f, digits)]
+    assert not faults, faults[:5]
+
+
+def test_every_printed_digit_is_correct():
+    assert_printed_digits_correct(60, DIGIT_CASES)
+
+
+@pytest.mark.slow
+def test_every_printed_digit_is_correct_to_300():
+    assert_printed_digits_correct(300)
 
 
 def test_bounds_and_equation_refuse_discriminants_beyond_the_j_lemma(capsys):
