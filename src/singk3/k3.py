@@ -24,7 +24,7 @@ and not principal.  Every other value is numeric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import prod
 
@@ -47,17 +47,18 @@ from .modular import class_polynomial, j_of_form
 Value = Fraction | mpc  # exact when proven rational, arbitrary-precision complex otherwise
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
-    """Invariant package of the surface with intersection form Q."""
+class SurfaceClass(
+    namedtuple(
+        "SurfaceClass",
+        "form discriminant primitive_discriminant content conductor primitive_conductor"
+        " field_discriminant",
+    )
+):
+    """Invariant package (Q, d, d', m, f, f', d_K) of the surface with
+    intersection form Q: m is the degree of primitivity, d = m^2 d' = f^2 d_K,
+    d' = f'^2 d_K, and d_K is the discriminant of K = Q(sqrt(d))."""
 
-    form: Form
-    discriminant: int  # d
-    primitive_discriminant: int  # d' with d = m^2 d'
-    content: int  # m, degree of primitivity
-    conductor: int  # f  with d  = f^2  d_K
-    primitive_conductor: int  # f' with d' = f'^2 d_K
-    field_discriminant: int  # d_K of K = Q(sqrt(d))
+    __slots__ = ()
 
 
 def surface_class(q: Form) -> SurfaceClass:
@@ -73,8 +74,13 @@ def surface_class(q: Form) -> SurfaceClass:
     return SurfaceClass(q, d, d_prime, m, f, f_prime, fd.field_discriminant)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(
+    namedtuple(
+        "BoundsReport",
+        "surface classes_per_genus class_number_upper parity_forced"
+        " exact_minimal_field j_tau1_normalized j_tau2_normalized",
+    )
+):
     """Constraints on the degree of the field of definition.
 
     classes_per_genus divides the degree over the CM field; that degree in
@@ -85,13 +91,7 @@ class BoundsReport:
     normalized j-values generate that field.
     """
 
-    surface: SurfaceClass
-    classes_per_genus: int
-    class_number_upper: int
-    parity_forced: bool
-    exact_minimal_field: str | None
-    j_tau1_normalized: mpc
-    j_tau2_normalized: mpc
+    __slots__ = ()
 
 
 def genus_of_transcendental_lattice(q: Form) -> frozenset[Form]:
@@ -182,25 +182,22 @@ def analyze(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundsRepo
 def _normalized_j_pair(q: Form, precision_bits: int) -> tuple[mpc, mpc]:
     # j_n(tau1), j_n(tau2) with j_n(i) = 1, divided with j_of_form's guard bits:
     # at precision_bits (or mpmath's 53-bit default) the last digits are lost.
-    with mp.workprec(precision_bits + _GUARD_BITS):
-        j1 = j_of_form(q.primitive_part(), precision_bits) / 1728
-        j2 = j_of_form(principal_form(q.discriminant()), precision_bits) / 1728
-    return j1, j2
+    wp = precision_bits + _GUARD_BITS
+    forms = q.primitive_part(), principal_form(q.discriminant())
+    return tuple(mp.fdiv(j_of_form(f, precision_bits), 1728, prec=wp) for f in forms)
 
 
 def _is_zero(v: Value) -> bool:
     return isinstance(v, Fraction) and v == 0
 
 
-@dataclass(frozen=True, eq=False)
-class WeierstrassModel:
-    """y^2 = x^3 + a4(t)*x + a6(t) in the layout of the pencil equations."""
+class WeierstrassModel(
+    namedtuple("WeierstrassModel", "kind A B degenerate_rule_applied precision_bits")
+):
+    """y^2 = x^3 + a4(t)*x + a6(t) in the layout of the pencil equations,
+    where kind is "inose_pencil" or "kummer"."""
 
-    kind: str  # "inose_pencil" or "kummer"
-    A: Value
-    B: Value
-    degenerate_rule_applied: bool
-    precision_bits: int
+    __slots__ = ()
 
     def _mul(self, u, v):
         # exact on rationals; otherwise rounded at the model's precision plus guard bits
@@ -264,8 +261,9 @@ def _pencil_values(q: Form, precision_bits: int):
     values = _rational_pencil_values(sc)
     if values is None:
         j1, j2 = _normalized_j_pair(q, precision_bits)
-        with mp.workprec(precision_bits + _GUARD_BITS):
-            values = j1 * j2, (1 - j1) * (1 - j2)
+        wp = precision_bits + _GUARD_BITS
+        one_minus = (mp.fsub(1, j, prec=wp) for j in (j1, j2))
+        values = mp.fmul(j1, j2, prec=wp), mp.fmul(*one_minus, prec=wp)
     A, B = values
     return (Fraction(0) if a_zero else A), (Fraction(0) if b_zero else B), a_zero or b_zero
 

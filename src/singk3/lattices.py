@@ -14,7 +14,7 @@ test suite checks against Dirichlet composition class by class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -25,17 +25,14 @@ from .forms import Form, compose
 Rational = int | Fraction
 
 
-@dataclass(frozen=True)
-class QuadElement:
-    """Exact element x + y*sqrt(D) of the field of discriminant D < 0."""
+class QuadElement(namedtuple("QuadElement", "field_discriminant x y")):
+    """Exact element x + y*sqrt(D), x and y Fractions, of the field of
+    discriminant D < 0; + - * / are field arithmetic, not tuple operations."""
 
-    field_discriminant: int
-    x: Fraction
-    y: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+    def __new__(cls, field_discriminant: int, x: Rational, y: Rational) -> QuadElement:
+        return tuple.__new__(cls, (field_discriminant, Fraction(x), Fraction(y)))
 
     def __add__(self, other: QuadElement) -> QuadElement:
         self._same_field(other)
@@ -96,21 +93,17 @@ def minimal_form(tau: QuadElement) -> Form:
     two_x = -2 * tau.x
     nrm = tau.norm()
     den = lcm(two_x.denominator, nrm.denominator)
-    a, b, c = den, two_x.numerator * (den // two_x.denominator), nrm.numerator * (
-        den // nrm.denominator
-    )
-    g = gcd(gcd(a, b), c)
-    return Form(a // g, b // g, c // g)
+    b = two_x.numerator * (den // two_x.denominator)
+    c = nrm.numerator * (den // nrm.denominator)
+    g = gcd(den, b, c)
+    return Form(den // g, b // g, c // g)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadLattice:
-    """Homothety class of Z*w1 + Z*w2 in K; compare with homothety_equal."""
+class QuadLattice(namedtuple("QuadLattice", "field_discriminant basis canonical_form conductor")):
+    """Homothety class of Z*w1 + Z*w2 in K; compare with homothety_equal, since
+    == compares bases.  conductor is that of the multiplier order {x in K : x*L <= L}."""
 
-    field_discriminant: int
-    basis: tuple[QuadElement, QuadElement]
-    canonical_form: Form
-    conductor: int  # of the multiplier order {x in K : x*L <= L}
+    __slots__ = ()
 
     @classmethod
     def from_basis(cls, w1: QuadElement, w2: QuadElement) -> QuadLattice:
@@ -150,13 +143,10 @@ class QuadLattice:
         }
 
 
-@dataclass(frozen=True)
-class TauPair:
+class TauPair(namedtuple("TauPair", "tau1 tau2 discriminant")):
     """The two CM points attached to a form: tau1 = (-b+sqrt(d))/(2a), tau2 = (b+sqrt(d))/2."""
 
-    tau1: QuadElement
-    tau2: QuadElement
-    discriminant: int
+    __slots__ = ()
 
 
 def tau_from_form(f: Form) -> QuadElement:

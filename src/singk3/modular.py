@@ -22,10 +22,11 @@ pass repeated.
 
 The values returned are immutable and safe to share between threads.
 class_polynomial works on integers alone and never touches mpmath, so it may
-run in any thread.  j_of_form, like analyze, inose_pencil and kummer_equation
-in k3, sets mpmath's process-wide working precision (mp.workprec), so no two of
-those may run in two threads of one process at once.  Separate processes are
-fine.
+run in any thread.  j_of_form sets mpmath's process-wide working precision
+(mp.workprec).  The surface layer in k3 names its precision on each operation
+and never sets it, but analyze, inose_pencil and kummer_equation call
+j_of_form; so no two of these may run in two threads of one process at once.
+Separate processes are fine.
 """
 
 from __future__ import annotations

@@ -50,6 +50,39 @@ def test_genus_verb(capsys):
     assert principal == {Form(1, 0, 14), Form(2, 0, 7)}
 
 
+def test_genus_text(capsys):
+    assert cli.run(["genus", "-56"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "Cl(-56): h = 4, genera g = 2, classes per genus n = 2",
+        "  genus 0 (principal): (1,0,14) (2,0,7)",
+        "  genus 1: (3,2,5) (3,-2,5)",
+    ]
+
+
+def test_scan_text(capsys):
+    assert cli.run(["scan", "--bound", "100"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "one class per genus, |d| <= 100: 32 discriminants, 18 fields, largest -100",
+        "  -3 -4 -7 -8 -11 -12 -15 -16 -19 -20 -24 -27 -28 -32 -35 -36 -40 -43 -48 -51"
+        " -52 -60 -64 -67 -72 -75 -84 -88 -91 -96 -99 -100",
+    ]
+    assert captured.err.startswith(
+        "warning: the scan bound is a search cutoff, not a completeness proof"
+    )
+
+
+def test_factors_text(capsys):
+    assert cli.run(["factors", "--form", "4,0,4", "--kummer"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "d = -64",
+        "  tau1 = (0 + 1/2*sqrt(-4))",
+        "  tau2 = (0 + 2*sqrt(-4))",
+        "  tau1 lattice: class (1,0,1), conductor 1",
+        "  Kummer: half form (2,0,2), tau1 = (0 + 1/2*sqrt(-4)), tau2/2 = (0 + 1*sqrt(-4))",
+    ]
+
+
 def test_bounds_verb(capsys):
     res = run_json(capsys, ["bounds", "--form", "2,1,3"])["result"]
     assert res["n"] == 3
@@ -320,7 +353,7 @@ NUMERIC_LAYERS = (
     "mpmath", "singk3._numeric_verbs", "singk3.k3", "singk3.lattices", "singk3.modular"
 )
 # dataclasses and what it imports, about 10 ms of start-up
-INTROSPECTION = ("dataclasses", "inspect", "ast")
+INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 def modules_left_loaded(argv, modules=NUMERIC_LAYERS, flags=()) -> str:
@@ -357,6 +390,16 @@ COLD_VERBS = (
 
 def test_cold_verbs_load_no_dataclasses():
     for argv in COLD_VERBS:
+        assert modules_left_loaded(argv, INTROSPECTION) == "[]", argv
+
+
+def test_numeric_verbs_load_no_dataclasses():
+    # their records are named tuples too; mpmath itself loads none of these
+    for argv in (
+        ["bounds", "--form", "1,1,1"],
+        ["factors", "--form", "4,0,4", "--kummer"],
+        ["equation", "--form", "2,1,3", "--kummer"],
+    ):
         assert modules_left_loaded(argv, INTROSPECTION) == "[]", argv
 
 

@@ -9,6 +9,8 @@ from singk3.classgroup import class_group, classes_per_genus
 from singk3.errors import InconsistentPair, InputTooLarge
 from singk3.forms import Form, principal_form
 from singk3.k3 import (
+    BoundsReport,
+    SurfaceClass,
     WeierstrassModel,
     analyze,
     genus_of_transcendental_lattice,
@@ -363,6 +365,32 @@ def test_weierstrass_model_immutable():
     with pytest.raises(AttributeError):
         model.A = 2  # type: ignore[misc]
     assert isinstance(model, WeierstrassModel)
+
+
+def test_surface_records_are_named_tuples_compared_by_value():
+    q = Form(2, 1, 3)
+    model = inose_pencil(q, 120)
+    kind, A, B, degenerate, bits = model
+    rebuilt = WeierstrassModel(
+        kind=kind, A=A, B=B, degenerate_rule_applied=degenerate, precision_bits=bits
+    )
+    assert rebuilt == model == inose_pencil(q, 120) and hash(rebuilt) == hash(model)
+    assert model != kummer_equation(q, 120) and model != inose_pencil(q, 121)
+    report = analyze(q, 120)
+    assert report == analyze(q, 120) and BoundsReport(*report) == report
+    sc = report.surface
+    assert sc == surface_class(q) and SurfaceClass(**sc._asdict()) == sc
+    assert SurfaceClass._fields == (
+        "form", "discriminant", "primitive_discriminant", "content", "conductor",
+        "primitive_conductor", "field_discriminant",
+    )
+    assert BoundsReport._fields == (
+        "surface", "classes_per_genus", "class_number_upper", "parity_forced",
+        "exact_minimal_field", "j_tau1_normalized", "j_tau2_normalized",
+    )
+    assert model._fields == ("kind", "A", "B", "degenerate_rule_applied", "precision_bits")
+    for record in (sc, report, model):
+        assert isinstance(record, tuple) and type(record).__slots__ == ()
 
 
 def test_oversized_precision_is_refused_before_any_work():

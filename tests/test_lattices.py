@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from singk3.forms import Form, compose, principal_form
 from singk3.lattices import (
     QuadElement,
     QuadLattice,
+    TauPair,
     galois_orbit_classes,
     homothety_equal,
     lattice_from_form,
@@ -35,6 +37,67 @@ def test_quad_element_arithmetic():
     assert a.norm() == Fraction(1, 4) + Fraction(23, 4)
     with pytest.raises(FieldMismatch):
         a * I
+
+
+def test_quad_element_operators_are_field_arithmetic():
+    # QuadElement is a tuple: + and * must not concatenate or repeat it
+    a = QuadElement(-23, Fraction(1, 2), Fraction(1, 2))
+    b = QuadElement(-23, 3, -1)
+    for value, expected in (
+        (a + b, QuadElement(-23, Fraction(7, 2), Fraction(-1, 2))),
+        (a - b, QuadElement(-23, Fraction(-5, 2), Fraction(3, 2))),
+        (-a, QuadElement(-23, Fraction(-1, 2), Fraction(-1, 2))),
+        (2 * a, QuadElement(-23, 1, 1)),
+        (a * 2, QuadElement(-23, 1, 1)),
+    ):
+        assert type(value) is QuadElement and value == expected
+    assert not bool(a - a) and not bool(QuadElement(-4, 0, 0))
+    assert bool(a) and bool(QuadElement(-4, 1, 0)) and bool(QuadElement(-4, 0, 1))
+    for op in (lambda u, v: u + v, lambda u, v: u - v):
+        with pytest.raises(FieldMismatch):
+            op(a, I)
+
+
+def test_quad_element_str():
+    assert str(QuadElement(-23, Fraction(1, 2), -3)) == "(1/2 + -3*sqrt(-23))"
+    assert str(I) == "(0 + 1/2*sqrt(-4))"
+
+
+def test_records_are_named_tuples():
+    e = QuadElement(field_discriminant=-4, x=1, y=Fraction(1, 2))
+    assert e == QuadElement(-4, Fraction(1), Fraction(1, 2)) == (-4, 1, Fraction(1, 2))
+    assert type(e.x) is Fraction and type(e.y) is Fraction  # coerced when built
+    assert pickle.loads(pickle.dumps(e)) == e
+    pair = sm_factors(Form(1, 1, 6))
+    tau1, tau2, d = pair
+    assert TauPair(tau1=tau1, tau2=tau2, discriminant=d) == pair and d == -23
+    lat = lattice_from_form(Form(2, 1, 3))
+    assert QuadLattice(*lat) == lat and hash(QuadLattice(*lat)) == hash(lat)
+    for record, fields in (
+        (e, ("field_discriminant", "x", "y")),
+        (pair, ("tau1", "tau2", "discriminant")),
+        (lat, ("field_discriminant", "basis", "canonical_form", "conductor")),
+    ):
+        assert isinstance(record, tuple) and record._fields == fields
+        assert type(record).__slots__ == ()
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], 0)
+
+
+def test_lattices_compare_by_basis_and_class_by_homothety():
+    twice = QuadLattice.from_basis(QuadElement(-4, 2, 0), QuadElement(-4, 0, 1))
+    assert gaussian(1) == gaussian(1) and gaussian(1) is not gaussian(1)
+    assert twice != gaussian(1) and homothety_equal(twice, gaussian(1))
+
+
+def test_from_basis_moves_tau_to_the_upper_half_plane():
+    for f in (Form(2, 1, 3), Form(3, 2, 5), Form(2, 0, 7), Form(1, 0, 16), Form(4, 4, 6)):
+        tau = tau_from_form(f)
+        one = QuadElement(tau.field_discriminant, 1, 0)
+        assert (one / tau).y < 0  # w2/w1 below the real axis
+        swapped = QuadLattice.from_basis(tau, one)
+        assert swapped.basis == (tau, one)
+        assert homothety_equal(swapped, QuadLattice.from_tau(tau))
 
 
 def test_minimal_form_roundtrip():
