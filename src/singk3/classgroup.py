@@ -43,7 +43,9 @@ from .forms import (
 # bound, yet the cache should never evict on the traffic it serves: every
 # surface question about the 9348 reduced forms with |d| <= 2000 fills 1000
 # entries per cache, and 6000 Zipf-distributed queries over them (the
-# perfbench session workload, seed 101) fill 870.
+# perfbench session workload, seed 101) fill 870.  The same constant bounds
+# the one per-form cache, k3's pencil values: at most 1024 (A, B) pairs, about
+# 1.2 MB at 428 bits.
 _CACHE_SIZE = 1024
 
 # Size limits, set so that the slowest accepted input takes well under 45 s:

@@ -13,6 +13,10 @@ B = (1 - j_n(tau1)) * (1 - j_n(tau2)) in the normalization j_n(i) = 1:
     pencil:  y^2 = x^3 - 3*A*B*t^4*x + A*B*t^5*(B*t^2 - 2*B*t + 1)
     Kummer:  y^2 = x^3 - 3*A*B*t^4*x + A*B*t^4*(B*t^4 - 2*B*t^2 + 1)
 
+The pencil and its Kummer base change share one (A, B) per (form,
+precision): inose_pencil and kummer_equation read it from one cache, bounded
+like every other singk3 cache, so the two j values are evaluated once for both.
+
 When A*B = 0 these specialize via the substitute-one rule (the zero slot of
 the twisting substitution is replaced by 1), which keeps the fibration
 non-degenerate; whether A or B vanishes is decided exactly from the
@@ -26,12 +30,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 from mpmath import mp, mpc
 
 from ._factor import factorize
 from .classgroup import (
+    _CACHE_SIZE,
     _genera,
     class_number,
     classes_per_genus,
@@ -163,7 +169,8 @@ def kummer_reduction(q: Form) -> tuple[Form, TauPair] | None:
 def analyze(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundsReport:
     """Bounds report for the surface with intersection form q.
 
-    precision_bits above _MAX_PRECISION_BITS raises InputTooLarge.
+    precision_bits above _MAX_PRECISION_BITS raises InputTooLarge, and one
+    that is not an integer >= 1 raises ValueError.
     """
     _check_precision(precision_bits)
     sc = surface_class(q)
@@ -252,6 +259,9 @@ def _fmt(v: Fraction) -> str:
     return f"({v})*"
 
 
+# typed=True: a precision of 428.0 or True must reach _check_precision, not a
+# cached 428 or 1.
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def _pencil_values(q: Form, precision_bits: int):
     _check_precision(precision_bits)  # also where the values come out exact
     sc = surface_class(q)
@@ -285,7 +295,8 @@ def _rational_pencil_values(sc: SurfaceClass) -> tuple[Fraction, Fraction] | Non
 def inose_pencil(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> WeierstrassModel:
     """The elliptic fibration carrying the surface with intersection form q.
 
-    precision_bits above _MAX_PRECISION_BITS raises InputTooLarge.
+    precision_bits above _MAX_PRECISION_BITS raises InputTooLarge, and one
+    that is not an integer >= 1 raises ValueError.
     """
     A, B, degenerate = _pencil_values(q, precision_bits)
     return WeierstrassModel("inose_pencil", A, B, degenerate, precision_bits)
@@ -294,7 +305,8 @@ def inose_pencil(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> Weier
 def kummer_equation(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> WeierstrassModel:
     """The quadratic base change t -> t^2 of the pencil: the Kummer fibration.
 
-    precision_bits above _MAX_PRECISION_BITS raises InputTooLarge.
+    precision_bits above _MAX_PRECISION_BITS raises InputTooLarge, and one
+    that is not an integer >= 1 raises ValueError.
     """
     A, B, degenerate = _pencil_values(q, precision_bits)
     return WeierstrassModel("kummer", A, B, degenerate, precision_bits)

@@ -125,7 +125,8 @@ def j_of_form(f: Form, precision_bits: int = DEFAULT_PRECISION_BITS):
     precision_bits + _GUARD_BITS bits, and its imaginary part is exactly 0 on a
     2-torsion class (b = 0, a = b or a = c), where j is real.  At d = -3, the
     one class where j vanishes, it is exactly 0.  |d| > _MAX_J_ABS_D or
-    precision_bits > _MAX_PRECISION_BITS raises InputTooLarge.
+    precision_bits > _MAX_PRECISION_BITS raises InputTooLarge, and a
+    precision_bits that is not an integer >= 1 raises ValueError.
     """
     from mpmath import mp, mpf
 
@@ -167,6 +168,9 @@ def _check_j_range(d: int) -> None:
 
 
 def _check_precision(bits: int) -> None:
+    # below 1 bit mpmath loops forever or returns garbage, so refuse it as bad input
+    if isinstance(bits, bool) or not isinstance(bits, int) or bits < 1:
+        raise ValueError(f"working precision must be an integer >= 1 bit, got {bits!r}")
     if bits > _MAX_PRECISION_BITS:
         raise InputTooLarge(f"working precision is limited to {_MAX_PRECISION_BITS} bits, got {bits}")
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from singk3.classgroup import class_group, classes_per_genus
+import singk3.k3 as k3
+from singk3.classgroup import _CACHE_SIZE, class_group, classes_per_genus
 from singk3.errors import InconsistentPair, InputTooLarge
 from singk3.forms import Form, principal_form
 from singk3.k3 import (
@@ -21,6 +22,7 @@ from singk3.k3 import (
     surface_class,
 )
 from singk3.lattices import QuadElement, galois_orbit_classes, sm_factors
+from singk3.modular import j_of_form
 
 from oracles import (
     pencil_conjugates,
@@ -394,14 +396,54 @@ def test_surface_records_are_named_tuples_compared_by_value():
 
 
 def test_oversized_precision_is_refused_before_any_work():
-    from singk3.modular import _MAX_PRECISION_BITS, j_of_form
+    from singk3.modular import _MAX_PRECISION_BITS
 
-    too_many = _MAX_PRECISION_BITS + 1
+    refusals = [(_MAX_PRECISION_BITS + 1, InputTooLarge, f"limited to {_MAX_PRECISION_BITS} bits")]
+    # below 1 bit mpmath loops forever (-40, -33) or returns garbage (-31, 0)
+    refusals += [(bits, ValueError, "integer >= 1") for bits in (-40, -33, -31, 0, 428.0, True)]
     # (1, 0, 1) has exact pencil values, so the refusal cannot come from j
     for q in (Form(1, 0, 1), Form(2, 1, 3), Form(4, 0, 4)):
         for call in (analyze, inose_pencil, kummer_equation, j_of_form):
-            start = time.perf_counter()
-            with pytest.raises(InputTooLarge, match=f"limited to {_MAX_PRECISION_BITS} bits"):
-                call(q, too_many)
-            assert time.perf_counter() - start < 1
+            for bits, error, message in refusals:
+                start = time.perf_counter()
+                with pytest.raises(error, match=message):
+                    call(q, bits)
+                assert time.perf_counter() - start < 1
     assert inose_pencil(Form(1, 0, 1), _MAX_PRECISION_BITS).precision_bits == _MAX_PRECISION_BITS
+
+
+def test_kummer_equation_shares_the_pencil_values():
+    # the base change t -> t^2 keeps A and B, so both models hold one pair
+    q = Form(2, 1, 3)
+    for bits in (428, 160):
+        pencil, kummer = inose_pencil(q, bits), kummer_equation(q, bits)
+        assert isinstance(pencil.A, mp.mpc) and kummer.kind == "kummer"
+        assert kummer.A is pencil.A and kummer.B is pencil.B
+
+
+def test_pencil_and_kummer_evaluate_two_j_values(monkeypatch):
+    calls = []
+
+    def counting(f, precision_bits):
+        calls.append(f)
+        return j_of_form(f, precision_bits)
+
+    monkeypatch.setattr(k3, "j_of_form", counting)
+    k3._pencil_values.cache_clear()
+    q = Form(2, 1, 3)
+    inose_pencil(q)
+    kummer_equation(q)
+    assert len(calls) == 2
+
+
+def test_pencil_cache_is_bounded_and_checks_every_precision():
+    # more distinct forms than the cache holds, at a low precision to stay fast
+    forms = [Form(1, 1, c) for c in range(1, _CACHE_SIZE + 100)]
+    for q in forms:
+        inose_pencil(q, 64)
+    assert k3._pencil_values.cache_info().currsize <= _CACHE_SIZE
+    # a cached 64 or 1 bits must not answer 64.0 or True past the check
+    inose_pencil(forms[-1], 1)
+    for bits in (64.0, True):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            kummer_equation(forms[-1], bits)
