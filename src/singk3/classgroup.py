@@ -44,8 +44,9 @@ from .forms import (
 # surface question about the 9348 reduced forms with |d| <= 2000 fills 1000
 # entries per cache, and 6000 Zipf-distributed queries over them (the
 # perfbench session workload, seed 101) fill 870.  The same constant bounds
-# the one per-form cache, k3's pencil values: at most 1024 (A, B) pairs, about
-# 1.2 MB at 428 bits.
+# k3's two caches: its pencil values per form, at most 1024 (A, B) pairs,
+# about 1.2 MB at 428 bits, and its j(O_d) per discriminant, at most 1024
+# values, half that.
 _CACHE_SIZE = 1024
 
 # Size limits, set so that the slowest accepted input takes well under 45 s:

@@ -16,6 +16,9 @@ B = (1 - j_n(tau1)) * (1 - j_n(tau2)) in the normalization j_n(i) = 1:
 The pencil and its Kummer base change share one (A, B) per (form,
 precision): inose_pencil and kummer_equation read it from one cache, bounded
 like every other singk3 cache, so the two j values are evaluated once for both.
+tau2 spans the order O_d, so j_n(tau2) depends on d alone: analyze and the
+pencil read it from one cache per (d, precision), and every form of
+discriminant d shares one value.  j_n(tau1) is evaluated per call.
 
 When A*B = 0 these specialize via the substitute-one rule (the zero slot of
 the twisting substitution is replaced by 1), which keeps the fibration
@@ -46,7 +49,7 @@ from .classgroup import (
 )
 from .errors import InconsistentPair
 from .forms import Form, check_discriminant, principal_form
-from .lattices import TauPair, sm_factors
+from .lattices import QuadElement, TauPair, sm_factors
 from .modular import _GUARD_BITS, DEFAULT_PRECISION_BITS, _check_j_range, _check_precision
 from .modular import class_polynomial, j_of_form
 
@@ -162,8 +165,14 @@ def kummer_reduction(q: Form) -> tuple[Form, TauPair] | None:
     if q.content() % 2:
         return None
     half = Form(q.a // 2, q.b // 2, q.c // 2)
-    pair = sm_factors(q)
-    return half, TauPair(pair.tau1, pair.tau2 / 2, half.discriminant())
+    tau1, tau2, _ = sm_factors(q)
+    x, y = tau2.x, tau2.y
+    halved = QuadElement(
+        tau2.field_discriminant,
+        Fraction(x.numerator, 2 * x.denominator),
+        Fraction(y.numerator, 2 * y.denominator),
+    )
+    return half, TauPair(tau1, halved, half.discriminant())
 
 
 def analyze(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundsReport:
@@ -186,12 +195,23 @@ def analyze(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundsRepo
     return BoundsReport(sc, n, h_upper, parity_forced, exact, j1, j2)
 
 
+def _normalized_j(f: Form, precision_bits: int) -> mpc:
+    # j_n = j/1728, so j_n(i) = 1, divided with j_of_form's guard bits: at
+    # precision_bits (or mpmath's 53-bit default) the last digits are lost.
+    return mp.fdiv(j_of_form(f, precision_bits), 1728, prec=precision_bits + _GUARD_BITS)
+
+
+# typed=True, as on _pencil_values below
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
+def _principal_j(d: int, precision_bits: int) -> mpc:
+    # j_n(tau2): tau2 spans O_d, whose class is the principal form of d
+    return _normalized_j(principal_form(d), precision_bits)
+
+
 def _normalized_j_pair(q: Form, precision_bits: int) -> tuple[mpc, mpc]:
-    # j_n(tau1), j_n(tau2) with j_n(i) = 1, divided with j_of_form's guard bits:
-    # at precision_bits (or mpmath's 53-bit default) the last digits are lost.
-    wp = precision_bits + _GUARD_BITS
-    forms = q.primitive_part(), principal_form(q.discriminant())
-    return tuple(mp.fdiv(j_of_form(f, precision_bits), 1728, prec=wp) for f in forms)
+    # j_n(tau1), j_n(tau2)
+    j1 = _normalized_j(q.primitive_part(), precision_bits)
+    return j1, _principal_j(q.discriminant(), precision_bits)
 
 
 def _is_zero(v: Value) -> bool:

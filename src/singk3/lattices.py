@@ -6,6 +6,12 @@ through tau = w2/w1: the primitive integral quadratic A*tau^2 + B*tau + C = 0
 recovers the reduced form of the class and the conductor of the multiplier
 order.  No floating point anywhere in this module.
 
+Inside, a basis is read as integer coordinates over one common denominator (a
+homothety, so the class is unchanged), and the class and conductor come from
+integer norms and traces: no Fraction arithmetic runs between the records
+given and the records returned.  QuadElement, QuadLattice and TauPair keep
+their Fraction fields and are built only where they are returned.
+
 Lattice multiplication generates the Z-module spanned by the four pairwise
 basis products and canonicalizes it by an integer Hermite normal form; under
 the form <-> lattice dictionary this realizes Gauss composition, which the
@@ -16,13 +22,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .classgroup import fundamental_data, reduced_primitive_forms
 from .errors import FieldMismatch
-from .forms import Form, compose
+from .forms import Form, _reduced, compose
 
 Rational = int | Fraction
+
+_ONE, _ZERO = Fraction(1), Fraction(0)
 
 
 class QuadElement(namedtuple("QuadElement", "field_discriminant x y")):
@@ -32,7 +40,11 @@ class QuadElement(namedtuple("QuadElement", "field_discriminant x y")):
     __slots__ = ()
 
     def __new__(cls, field_discriminant: int, x: Rational, y: Rational) -> QuadElement:
-        return tuple.__new__(cls, (field_discriminant, Fraction(x), Fraction(y)))
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        if type(y) is not Fraction:
+            y = Fraction(y)
+        return tuple.__new__(cls, (field_discriminant, x, y))
 
     def __add__(self, other: QuadElement) -> QuadElement:
         self._same_field(other)
@@ -87,16 +99,53 @@ class QuadElement(namedtuple("QuadElement", "field_discriminant x y")):
         return f"({self.x} + {self.y}*sqrt({self.field_discriminant}))"
 
 
+def _minimal_triple(n: int, u: int, m: int) -> tuple[tuple[int, int, int], int]:
+    # the minimal polynomial (A, B, C) = (n, -2u, m)/g, g = gcd(n, 2u, m), of
+    # the tau with trace 2u/n and norm m/n (n > 0), and its content g
+    g = gcd(n, 2 * u, m)
+    return (n // g, -2 * u // g, m // g), g
+
+
+Coordinates = tuple[int, int]  # (x, y) for x + y*sqrt(D), integral
+
+
+def _coordinates(w1: QuadElement, w2: QuadElement) -> tuple[Coordinates, Coordinates]:
+    # the basis times the lcm of its denominators
+    _, x1, y1 = w1
+    _, x2, y2 = w2
+    m1, n1, m2, n2 = x1.denominator, y1.denominator, x2.denominator, y2.denominator
+    den = lcm(m1, n1, m2, n2)
+    return (
+        (x1.numerator * (den // m1), y1.numerator * (den // n1)),
+        (x2.numerator * (den // m2), y2.numerator * (den // n2)),
+    )
+
+
 def minimal_form(tau: QuadElement) -> Form:
     # primitive integral (A, B, C), A > 0, with A*tau^2 + B*tau + C = 0;
-    # requires tau genuinely quadratic (y != 0)
-    two_x = -2 * tau.x
-    nrm = tau.norm()
-    den = lcm(two_x.denominator, nrm.denominator)
-    b = two_x.numerator * (den // two_x.denominator)
-    c = nrm.numerator * (den // nrm.denominator)
-    g = gcd(den, b, c)
-    return Form(den // g, b // g, c // g)
+    # requires tau genuinely quadratic (y != 0).  tau = (x + y*sqrt(D))/den
+    # has trace 2*x*den / den^2 and norm (x^2 - D*y^2) / den^2.
+    D = tau.field_discriminant
+    (den, _), (x, y) = _coordinates(QuadElement(D, _ONE, _ZERO), tau)
+    form, _ = _minimal_triple(den * den, x * den, x * x - D * y * y)
+    return Form(*form)
+
+
+def _class(D: int, w1: Coordinates, w2: Coordinates) -> tuple[tuple[int, int, int], int]:
+    # Reduced form and conductor of Z*w1 + Z*w2.  tau = w2/w1 = (u + v*sqrt(D))/n
+    # with u + v*sqrt(D) = w2*conj(w1), n = N(w1) > 0 and N(tau) = N(w2)/n.
+    # v < 0 puts tau below the real axis, and -tau spans the same lattice with
+    # 1.  The minimal form has discriminant D*(2v/g)^2, g its content, so the
+    # conductor is 2|v|/g.
+    (x1, y1), (x2, y2) = w1, w2
+    v = x1 * y2 - y1 * x2
+    if v == 0:
+        raise ValueError("basis is linearly dependent over R")
+    u = x1 * x2 - D * y1 * y2
+    form, g = _minimal_triple(x1 * x1 - D * y1 * y1, u if v > 0 else -u, x2 * x2 - D * y2 * y2)
+    f, rem = divmod(2 * abs(v), g)
+    assert rem == 0
+    return _reduced(*form), f
 
 
 class QuadLattice(namedtuple("QuadLattice", "field_discriminant basis canonical_form conductor")):
@@ -109,24 +158,13 @@ class QuadLattice(namedtuple("QuadLattice", "field_discriminant basis canonical_
     def from_basis(cls, w1: QuadElement, w2: QuadElement) -> QuadLattice:
         w1._same_field(w2)
         d_K = w1.field_discriminant
-        if w1.x * w2.y - w1.y * w2.x == 0:
-            raise ValueError("basis is linearly dependent over R")
-        tau = w2 / w1
-        if tau.y < 0:
-            tau = -tau  # Z + tau*Z = Z + (-tau)*Z; land in the upper half plane
-        form = minimal_form(tau)
-        d = form.discriminant()
-        f2, rem = divmod(d, d_K)
-        assert rem == 0
-        f = isqrt(f2)
-        assert f * f == f2
-        return cls(d_K, (w1, w2), form.reduced(), f)
+        form, f = _class(d_K, *_coordinates(w1, w2))
+        return cls(d_K, (w1, w2), Form(*form), f)
 
     @classmethod
     def from_tau(cls, tau: QuadElement) -> QuadLattice:
         """The lattice Z + tau*Z."""
-        one = QuadElement(tau.field_discriminant, Fraction(1), Fraction(0))
-        return cls.from_basis(one, tau)
+        return cls.from_basis(QuadElement(tau.field_discriminant, _ONE, _ZERO), tau)
 
     def multiplier_discriminant(self) -> int:
         return self.conductor**2 * self.field_discriminant
@@ -217,28 +255,27 @@ def _hnf_two_columns(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], int]
     return (p, q), r
 
 
-def _integer_coordinates(lat: QuadLattice) -> list[tuple[int, int]]:
-    # basis coordinates scaled to integers (a homothety, so class-preserving)
-    den = lcm(*(lcm(w.x.denominator, w.y.denominator) for w in lat.basis))
-    return [(int(w.x * den), int(w.y * den)) for w in lat.basis]
+def _product(l1: QuadLattice, l2: QuadLattice) -> tuple[int, Coordinates, Coordinates]:
+    # (D, (p, q), (0, r)): the Hermite basis of the module that the pairwise
+    # products of the two integral bases span
+    if l1.field_discriminant != l2.field_discriminant:
+        raise FieldMismatch("lattices live in different fields")
+    D = l1.field_discriminant
+    basis2 = _coordinates(*l2.basis)
+    rows = [
+        (x1 * x2 + y1 * y2 * D, x1 * y2 + y1 * x2)
+        for x1, y1 in _coordinates(*l1.basis)
+        for x2, y2 in basis2
+    ]
+    (p, q), r = _hnf_two_columns(rows)
+    return D, (p, q), (0, r)
 
 
 def multiply(l1: QuadLattice, l2: QuadLattice) -> QuadLattice:
     """Homothety class of the module generated by the pairwise basis products."""
-    if l1.field_discriminant != l2.field_discriminant:
-        raise FieldMismatch("lattices live in different fields")
-    D = l1.field_discriminant
-    b1 = _integer_coordinates(l1)
-    b2 = _integer_coordinates(l2)
-    rows = [
-        (x1 * x2 + y1 * y2 * D, x1 * y2 + y1 * x2)
-        for x1, y1 in b1
-        for x2, y2 in b2
-    ]
-    (p, q), r = _hnf_two_columns(rows)
-    w1 = QuadElement(D, Fraction(p), Fraction(q))
-    w2 = QuadElement(D, Fraction(0), Fraction(r))
-    return QuadLattice.from_basis(w1, w2)
+    D, w1, w2 = _product(l1, l2)
+    form, f = _class(D, w1, w2)
+    return QuadLattice(D, (QuadElement(D, *w1), QuadElement(D, *w2)), Form(*form), f)
 
 
 def homothety_equal(l1: QuadLattice, l2: QuadLattice) -> bool:
@@ -258,10 +295,13 @@ def shioda_mitani_check(l1: QuadLattice, l2: QuadLattice, q: Form) -> bool:
     fd = fundamental_data(d)
     if not (l1.field_discriminant == l2.field_discriminant == fd.field_discriminant):
         raise FieldMismatch("lattices and form live in different fields")
-    f_prime = fundamental_data(q.primitive_part().discriminant()).conductor
+    qp = q.primitive_part()
+    f_prime = fundamental_data(qp.discriminant()).conductor
     if l1.conductor * l2.conductor != fd.conductor * f_prime:
         return False
-    return homothety_equal(multiply(l1, l2), lattice_from_form(q))
+    # Z + tau1*Z is in the class of q's primitive part, with conductor f'
+    form, f = _class(*_product(l1, l2))
+    return f == f_prime and form == _reduced(*qp)
 
 
 def galois_orbit_classes(q: Form) -> frozenset[Form]:

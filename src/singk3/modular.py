@@ -155,11 +155,14 @@ def _height_precision_bits(d: int) -> int:
 _MAX_J_ABS_D = 10**6  # both j lemmas below are proven up to this |d|; both routes refuse more
 
 # j_of_form, and the analyze and pencil calls built on it, refuse more working
-# precision, so that the slowest accepted input takes well under 45 s: two j
-# values at the largest |q|, `bounds --form 1,1,1 --precision 15050` (50000
-# bits), took 27.5 s; 16000 digits took 42 s.  The lemma below would hold up
-# to about 8 million bits.
-_MAX_PRECISION_BITS = 50000
+# precision, so that the slowest accepted input takes well under 45 s.  The
+# costly inputs are forms whose tau1 lies near rho, where |q| is largest (j at
+# rho itself is exactly 0).  Cold, best of 3, `bounds --form F --precision
+# 12040` (40000 bits) took 25.1 s for F = 20,19,20, 23.9 s for 577,576,577,
+# 13.7 s for 2,1,2 and 10.7 s for 1,0,1; at 15050 digits (50000 bits) the
+# first two took 47.6 and 48.5 s.  The lemma below would hold up to about 8
+# million bits.
+_MAX_PRECISION_BITS = 40000
 
 
 def _check_j_range(d: int) -> None:

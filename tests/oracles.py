@@ -13,6 +13,9 @@ and pencil_conjugates moves classes with singk3's composition and lattice
 multiplication and evaluates j_of_form to check which pencil coefficients
 singk3.k3 emits as exact rationals.  printed_digit_faults reruns the numeric
 verbs at twice the digits, so it checks the digits they print, not the values.
+The fraction_* lattice functions are the route singk3.lattices ran on
+Fractions; they share its records, Form.reduced and its Hermite normal form,
+and check the integer coordinates, norms and traces that replaced them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, isqrt
+from math import ceil, gcd, isqrt, lcm
 
 from singk3.forms import Form
 
@@ -354,6 +357,95 @@ def rational_by_conjugates(conjugates) -> bool:
     return pencil_values_agree(first, mp.conj(first)) and all(
         pencil_values_agree(v, first) for v in conjugates
     )
+
+
+# Lattices on Fractions: the route singk3.lattices ran before it moved to
+# integer coordinates.  tau = w2/w1 is a QuadElement quotient and its minimal
+# polynomial is read off Fractions; only the records, QuadElement arithmetic,
+# Form.reduced, tau_from_form, sm_factors and the two-column HNF are shared.
+
+
+def _fraction_minimal_form(tau) -> Form:
+    # primitive integral (A, B, C), A > 0, with A*tau^2 + B*tau + C = 0
+    two_x = -2 * tau.x
+    nrm = tau.norm()
+    den = lcm(two_x.denominator, nrm.denominator)
+    b = two_x.numerator * (den // two_x.denominator)
+    c = nrm.numerator * (den // nrm.denominator)
+    g = gcd(den, b, c)
+    return Form(den // g, b // g, c // g)
+
+
+def fraction_from_basis(w1, w2):
+    """QuadLattice.from_basis through tau = w2 / w1 on Fractions."""
+    from singk3.lattices import QuadLattice
+
+    w1._same_field(w2)
+    d_K = w1.field_discriminant
+    if w1.x * w2.y - w1.y * w2.x == 0:
+        raise ValueError("basis is linearly dependent over R")
+    tau = w2 / w1
+    if tau.y < 0:
+        tau = -tau
+    form = _fraction_minimal_form(tau)
+    f2, rem = divmod(form.discriminant(), d_K)
+    f = isqrt(f2)
+    assert rem == 0 and f * f == f2
+    return QuadLattice(d_K, (w1, w2), form.reduced(), f)
+
+
+def fraction_from_tau(tau):
+    from singk3.lattices import QuadElement
+
+    return fraction_from_basis(QuadElement(tau.field_discriminant, 1, 0), tau)
+
+
+def fraction_lattice_from_form(f: Form):
+    from singk3.lattices import tau_from_form
+
+    lat = fraction_from_tau(tau_from_form(f))
+    assert lat.canonical_form == f.primitive_part().reduced()
+    return lat
+
+
+def fraction_multiply(l1, l2):
+    """multiply with each basis scaled to integers by Fraction products."""
+    from singk3.lattices import QuadElement, _hnf_two_columns
+
+    assert l1.field_discriminant == l2.field_discriminant
+    D = l1.field_discriminant
+    coordinates = []
+    for lat in (l1, l2):
+        den = lcm(*(lcm(w.x.denominator, w.y.denominator) for w in lat.basis))
+        coordinates.append([(int(w.x * den), int(w.y * den)) for w in lat.basis])
+    b1, b2 = coordinates
+    rows = [(x1 * x2 + y1 * y2 * D, x1 * y2 + y1 * x2) for x1, y1 in b1 for x2, y2 in b2]
+    (p, q), r = _hnf_two_columns(rows)
+    return fraction_from_basis(QuadElement(D, p, q), QuadElement(D, 0, r))
+
+
+def fraction_shioda_mitani_check(l1, l2, q: Form) -> bool:
+    """shioda_mitani_check with the product and Z + tau1*Z built on Fractions."""
+    from singk3.classgroup import fundamental_data
+
+    fd = fundamental_data(q.discriminant())
+    assert l1.field_discriminant == l2.field_discriminant == fd.field_discriminant
+    f_prime = fundamental_data(q.primitive_part().discriminant()).conductor
+    if l1.conductor * l2.conductor != fd.conductor * f_prime:
+        return False
+    product, target = fraction_multiply(l1, l2), fraction_lattice_from_form(q)
+    return (product.canonical_form, product.conductor) == (target.canonical_form, target.conductor)
+
+
+def fraction_kummer_reduction(q: Form):
+    """kummer_reduction with tau2 halved by QuadElement division."""
+    from singk3.lattices import TauPair, sm_factors
+
+    if q.content() % 2:
+        return None
+    half = Form(q.a // 2, q.b // 2, q.c // 2)
+    pair = sm_factors(q)
+    return half, TauPair(pair.tau1, pair.tau2 / 2, half.discriminant())
 
 
 # The verbs whose --json output prints numeric values, and the digit counts

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -12,7 +13,13 @@ from singk3 import cli, modular
 from singk3.errors import PrecisionExhausted
 from singk3.forms import Form
 
-from oracles import PRINTED_DIGITS, printed_digit_faults, reduced_forms
+from oracles import (
+    PRINTED_DIGITS,
+    fraction_kummer_reduction,
+    fraction_lattice_from_form,
+    printed_digit_faults,
+    reduced_forms,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -109,6 +116,29 @@ def test_factors_not_divisible_warns(capsys):
     env = run_json(capsys, ["factors", "--form", "2,1,3", "--kummer"])
     assert env["result"]["kummer"] is None
     assert any("not 2-divisible" in w for w in env["warnings"])
+
+
+def test_factors_json_matches_the_fraction_oracle_to_400(monkeypatch):
+    from singk3 import _numeric_verbs
+
+    parser = cli._build_parser()  # built once: building it is most of a run's time
+    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+    argvs = [
+        ["factors", "--form", str(q), "--json", *kummer]
+        for q in reduced_forms(400)
+        for kummer in ([], ["--kummer"])
+    ]
+
+    def outputs():
+        for argv in argvs:
+            out = io.StringIO()
+            assert cli.run(argv, out=out) == 0, argv
+            yield out.getvalue()
+
+    printed = list(outputs())
+    monkeypatch.setattr(_numeric_verbs, "lattice_from_form", fraction_lattice_from_form)
+    monkeypatch.setattr(_numeric_verbs, "kummer_reduction", fraction_kummer_reduction)
+    assert list(outputs()) == printed
 
 
 def test_equation_verb(capsys):
@@ -294,16 +324,16 @@ def test_bad_precision_env_names_the_variable(capsys, monkeypatch):
 def test_oversized_precision_is_a_usage_error_naming_the_limit(capsys, monkeypatch):
     from mpmath.libmp import dps_to_prec
 
-    limit = cli.precision_digits("15050")
+    limit = cli.precision_digits("12040")
     assert dps_to_prec(limit) <= modular._MAX_PRECISION_BITS < dps_to_prec(limit + 1)
     for verb in (["bounds"], ["equation"], ["equation", "--kummer"]):
         start = time.perf_counter()
         err = assert_usage_error(capsys, [*verb, "--form", "1,1,6", "--precision", "30000"])
         assert time.perf_counter() - start < 5
-        assert "limited to 15050 digits, got 30000" in err and "SINGK3_PRECISION" not in err
-    monkeypatch.setenv("SINGK3_PRECISION", "15051")
+        assert "limited to 12040 digits, got 30000" in err and "SINGK3_PRECISION" not in err
+    monkeypatch.setenv("SINGK3_PRECISION", "12041")
     err = assert_usage_error(capsys, ["bounds", "--form", "1,1,6"])
-    assert "limited to 15050 digits, got 15051 from SINGK3_PRECISION" in err
+    assert "limited to 12040 digits, got 12041 from SINGK3_PRECISION" in err
 
 
 def test_bad_bound_env_names_the_variable(capsys, monkeypatch):

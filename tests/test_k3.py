@@ -421,7 +421,8 @@ def test_kummer_equation_shares_the_pencil_values():
         assert kummer.A is pencil.A and kummer.B is pencil.B
 
 
-def test_pencil_and_kummer_evaluate_two_j_values(monkeypatch):
+def _j_calls(monkeypatch) -> list[Form]:
+    # the forms k3 evaluates j at from now on, every k3 cache cleared first
     calls = []
 
     def counting(f, precision_bits):
@@ -429,11 +430,32 @@ def test_pencil_and_kummer_evaluate_two_j_values(monkeypatch):
         return j_of_form(f, precision_bits)
 
     monkeypatch.setattr(k3, "j_of_form", counting)
-    k3._pencil_values.cache_clear()
+    for value in vars(k3).values():
+        if hasattr(value, "cache_clear") and value.__module__ == k3.__name__:
+            value.cache_clear()
+    return calls
+
+
+def test_pencil_and_kummer_evaluate_two_j_values(monkeypatch):
+    calls = _j_calls(monkeypatch)
     q = Form(2, 1, 3)
     inose_pencil(q)
     kummer_equation(q)
     assert len(calls) == 2
+
+
+def test_j_of_the_order_is_evaluated_once_per_discriminant(monkeypatch):
+    calls = _j_calls(monkeypatch)
+    q, q2, principal = Form(2, 1, 3), Form(2, -1, 3), principal_form(-23)
+    reports = []
+    for f in (q, q2):
+        reports.append(analyze(f))
+        inose_pencil(f)
+        kummer_equation(f)
+    # j(tau1) once for analyze and once for the pencil values the pencils
+    # share; j(tau2) = j(O_d) once for every form of discriminant d
+    assert calls == [q, principal, q, q2, q2]
+    assert reports[0].j_tau2_normalized is reports[1].j_tau2_normalized
 
 
 def test_pencil_cache_is_bounded_and_checks_every_precision():

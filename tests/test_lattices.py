@@ -16,8 +16,18 @@ from singk3.lattices import (
     lattice_from_form,
     minimal_form,
     multiply,
+    shioda_mitani_check,
     sm_factors,
     tau_from_form,
+)
+
+from oracles import (
+    fraction_from_basis,
+    fraction_from_tau,
+    fraction_lattice_from_form,
+    fraction_multiply,
+    fraction_shioda_mitani_check,
+    reduced_forms,
 )
 
 I = QuadElement(-4, 0, Fraction(1, 2))  # the point i over d_K = -4
@@ -289,3 +299,47 @@ def test_lattice_json():
     assert obj["conductor"] == 1
     w1 = obj["basis"][0]
     assert Fraction(w1[0], w1[1]) == lat.basis[0].x
+
+
+def _fraction_oracle_faults(max_abs_d: int) -> list[str]:
+    # the lattice questions of a perfbench session query about every reduced
+    # form, the basis (tau1, 1), whose quotient lies below the real axis, and
+    # the criterion against the principal form (mostly False), on both routes
+    faults = []
+    for q in reduced_forms(max_abs_d):
+        tau1, tau2, d = sm_factors(q)
+        one = QuadElement(tau1.field_discriminant, 1, 0)
+        l1, l2 = QuadLattice.from_tau(tau1), QuadLattice.from_tau(tau2)
+        o1, o2 = fraction_from_tau(tau1), fraction_from_tau(tau2)
+        mine = (
+            l1,
+            l2,
+            QuadLattice.from_basis(tau1, one),
+            lattice_from_form(q),
+            multiply(l1, l2),
+            multiply(l1, l1),
+            shioda_mitani_check(l1, l2, q),
+            shioda_mitani_check(l1, l2, principal_form(d)),
+        )
+        oracle = (
+            o1,
+            o2,
+            fraction_from_basis(tau1, one),
+            fraction_lattice_from_form(q),
+            fraction_multiply(o1, o2),
+            fraction_multiply(o1, o1),
+            fraction_shioda_mitani_check(o1, o2, q),
+            fraction_shioda_mitani_check(o1, o2, principal_form(d)),
+        )
+        faults += [f"{q}: entry {i}" for i, (x, y) in enumerate(zip(mine, oracle)) if x != y]
+        assert type(mine[4].canonical_form) is Form and type(mine[4].basis[1].x) is Fraction
+    return faults
+
+
+def test_integer_route_matches_the_fraction_oracle_to_400():
+    assert _fraction_oracle_faults(400) == []
+
+
+@pytest.mark.slow
+def test_integer_route_matches_the_fraction_oracle_to_2000():
+    assert _fraction_oracle_faults(2000) == []
