@@ -49,7 +49,7 @@ from .classgroup import (
 )
 from .errors import InconsistentPair
 from .forms import Form, check_discriminant, principal_form
-from .lattices import QuadElement, TauPair, sm_factors
+from .lattices import TauPair, sm_factors
 from .modular import _GUARD_BITS, DEFAULT_PRECISION_BITS, _check_j_range, _check_precision
 from .modular import class_polynomial, j_of_form
 
@@ -165,14 +165,8 @@ def kummer_reduction(q: Form) -> tuple[Form, TauPair] | None:
     if q.content() % 2:
         return None
     half = Form(q.a // 2, q.b // 2, q.c // 2)
-    tau1, tau2, _ = sm_factors(q)
-    x, y = tau2.x, tau2.y
-    halved = QuadElement(
-        tau2.field_discriminant,
-        Fraction(x.numerator, 2 * x.denominator),
-        Fraction(y.numerator, 2 * y.denominator),
-    )
-    return half, TauPair(tau1, halved, half.discriminant())
+    pair = sm_factors(q)
+    return half, TauPair(pair.tau1, pair.tau2 / 2, half.discriminant())
 
 
 def analyze(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundsReport:

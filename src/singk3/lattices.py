@@ -8,9 +8,10 @@ order.  No floating point anywhere in this module.
 
 Inside, a basis is read as integer coordinates over one common denominator (a
 homothety, so the class is unchanged), and the class and conductor come from
-integer norms and traces: no Fraction arithmetic runs between the records
-given and the records returned.  QuadElement, QuadLattice and TauPair keep
-their Fraction fields and are built only where they are returned.
+integer norms and traces: from_basis, multiply and shioda_mitani_check run
+no Fraction arithmetic between the records given and the records returned.
+QuadElement, QuadLattice and TauPair keep their Fraction fields and are built
+only where they are returned.
 
 Lattice multiplication generates the Z-module spanned by the four pairwise
 basis products and canonicalizes it by an integer Hermite normal form; under
@@ -123,12 +124,14 @@ def _coordinates(w1: QuadElement, w2: QuadElement) -> tuple[Coordinates, Coordin
 
 def minimal_form(tau: QuadElement) -> Form:
     # primitive integral (A, B, C), A > 0, with A*tau^2 + B*tau + C = 0;
-    # requires tau genuinely quadratic (y != 0).  tau = (x + y*sqrt(D))/den
-    # has trace 2*x*den / den^2 and norm (x^2 - D*y^2) / den^2.
-    D = tau.field_discriminant
-    (den, _), (x, y) = _coordinates(QuadElement(D, _ONE, _ZERO), tau)
-    form, _ = _minimal_triple(den * den, x * den, x * x - D * y * y)
-    return Form(*form)
+    # requires tau genuinely quadratic (y != 0)
+    two_x = -2 * tau.x
+    nrm = tau.norm()
+    den = lcm(two_x.denominator, nrm.denominator)
+    b = two_x.numerator * (den // two_x.denominator)
+    c = nrm.numerator * (den // nrm.denominator)
+    g = gcd(den, b, c)
+    return Form(den // g, b // g, c // g)
 
 
 def _class(D: int, w1: Coordinates, w2: Coordinates) -> tuple[tuple[int, int, int], int]:

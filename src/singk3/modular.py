@@ -157,12 +157,15 @@ _MAX_J_ABS_D = 10**6  # both j lemmas below are proven up to this |d|; both rout
 # j_of_form, and the analyze and pencil calls built on it, refuse more working
 # precision, so that the slowest accepted input takes well under 45 s.  The
 # costly inputs are forms whose tau1 lies near rho, where |q| is largest (j at
-# rho itself is exactly 0).  Cold, best of 3, `bounds --form F --precision
-# 12040` (40000 bits) took 25.1 s for F = 20,19,20, 23.9 s for 577,576,577,
-# 13.7 s for 2,1,2 and 10.7 s for 1,0,1; at 15050 digits (50000 bits) the
-# first two took 47.6 and 48.5 s.  The lemma below would hold up to about 8
-# million bits.
-_MAX_PRECISION_BITS = 40000
+# rho itself is exactly 0).  Cold, best of 3, on a 2-core Intel Xeon,
+# `bounds --form F --precision 9632` (32000 bits) took 14.7 s for
+# F = 20,19,20, 16.6 s for 577,576,577, 8.9 s for 2,1,2 and 6.3 s for 1,0,1.
+# The same machine has run these inputs up to 2.0 times slower in a slow
+# phase (at 15050 digits, 78 s against 47.6 s for 20,19,20 and 37 s against
+# 18.4 s for 1,0,1), which puts the slowest near 33 s.  At 12040 digits
+# (40000 bits) 20,19,20 took 25.1 s, about 50 s at that ratio.  The lemma
+# below would hold up to about 8 million bits.
+_MAX_PRECISION_BITS = 32000
 
 
 def _check_j_range(d: int) -> None:

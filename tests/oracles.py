@@ -14,8 +14,9 @@ multiplication and evaluates j_of_form to check which pencil coefficients
 singk3.k3 emits as exact rationals.  printed_digit_faults reruns the numeric
 verbs at twice the digits, so it checks the digits they print, not the values.
 The fraction_* lattice functions are the route singk3.lattices ran on
-Fractions; they share its records, Form.reduced and its Hermite normal form,
-and check the integer coordinates, norms and traces that replaced them.
+Fractions; they share its records, minimal_form, Form.reduced and its Hermite
+normal form, and check the integer coordinates, norms and traces that
+replaced them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gcd, isqrt, lcm
+from math import ceil, isqrt, lcm
 
 from singk3.forms import Form
 
@@ -362,23 +363,13 @@ def rational_by_conjugates(conjugates) -> bool:
 # Lattices on Fractions: the route singk3.lattices ran before it moved to
 # integer coordinates.  tau = w2/w1 is a QuadElement quotient and its minimal
 # polynomial is read off Fractions; only the records, QuadElement arithmetic,
-# Form.reduced, tau_from_form, sm_factors and the two-column HNF are shared.
-
-
-def _fraction_minimal_form(tau) -> Form:
-    # primitive integral (A, B, C), A > 0, with A*tau^2 + B*tau + C = 0
-    two_x = -2 * tau.x
-    nrm = tau.norm()
-    den = lcm(two_x.denominator, nrm.denominator)
-    b = two_x.numerator * (den // two_x.denominator)
-    c = nrm.numerator * (den // nrm.denominator)
-    g = gcd(den, b, c)
-    return Form(den // g, b // g, c // g)
+# minimal_form, Form.reduced, tau_from_form, sm_factors and the two-column HNF
+# are shared.
 
 
 def fraction_from_basis(w1, w2):
     """QuadLattice.from_basis through tau = w2 / w1 on Fractions."""
-    from singk3.lattices import QuadLattice
+    from singk3.lattices import QuadLattice, minimal_form
 
     w1._same_field(w2)
     d_K = w1.field_discriminant
@@ -387,7 +378,7 @@ def fraction_from_basis(w1, w2):
     tau = w2 / w1
     if tau.y < 0:
         tau = -tau
-    form = _fraction_minimal_form(tau)
+    form = minimal_form(tau)
     f2, rem = divmod(form.discriminant(), d_K)
     f = isqrt(f2)
     assert rem == 0 and f * f == f2
@@ -435,17 +426,6 @@ def fraction_shioda_mitani_check(l1, l2, q: Form) -> bool:
         return False
     product, target = fraction_multiply(l1, l2), fraction_lattice_from_form(q)
     return (product.canonical_form, product.conductor) == (target.canonical_form, target.conductor)
-
-
-def fraction_kummer_reduction(q: Form):
-    """kummer_reduction with tau2 halved by QuadElement division."""
-    from singk3.lattices import TauPair, sm_factors
-
-    if q.content() % 2:
-        return None
-    half = Form(q.a // 2, q.b // 2, q.c // 2)
-    pair = sm_factors(q)
-    return half, TauPair(pair.tau1, pair.tau2 / 2, half.discriminant())
 
 
 # The verbs whose --json output prints numeric values, and the digit counts

@@ -15,7 +15,6 @@ from singk3.forms import Form
 
 from oracles import (
     PRINTED_DIGITS,
-    fraction_kummer_reduction,
     fraction_lattice_from_form,
     printed_digit_faults,
     reduced_forms,
@@ -137,7 +136,6 @@ def test_factors_json_matches_the_fraction_oracle_to_400(monkeypatch):
 
     printed = list(outputs())
     monkeypatch.setattr(_numeric_verbs, "lattice_from_form", fraction_lattice_from_form)
-    monkeypatch.setattr(_numeric_verbs, "kummer_reduction", fraction_kummer_reduction)
     assert list(outputs()) == printed
 
 
@@ -324,16 +322,16 @@ def test_bad_precision_env_names_the_variable(capsys, monkeypatch):
 def test_oversized_precision_is_a_usage_error_naming_the_limit(capsys, monkeypatch):
     from mpmath.libmp import dps_to_prec
 
-    limit = cli.precision_digits("12040")
+    limit = cli.precision_digits("9632")
     assert dps_to_prec(limit) <= modular._MAX_PRECISION_BITS < dps_to_prec(limit + 1)
     for verb in (["bounds"], ["equation"], ["equation", "--kummer"]):
         start = time.perf_counter()
         err = assert_usage_error(capsys, [*verb, "--form", "1,1,6", "--precision", "30000"])
         assert time.perf_counter() - start < 5
-        assert "limited to 12040 digits, got 30000" in err and "SINGK3_PRECISION" not in err
-    monkeypatch.setenv("SINGK3_PRECISION", "12041")
+        assert "limited to 9632 digits, got 30000" in err and "SINGK3_PRECISION" not in err
+    monkeypatch.setenv("SINGK3_PRECISION", "9633")
     err = assert_usage_error(capsys, ["bounds", "--form", "1,1,6"])
-    assert "limited to 12040 digits, got 12041 from SINGK3_PRECISION" in err
+    assert "limited to 9632 digits, got 9633 from SINGK3_PRECISION" in err
 
 
 def test_bad_bound_env_names_the_variable(capsys, monkeypatch):
