@@ -4,7 +4,9 @@ Verbs: classgroup, genus, bounds, factors, equation, classpoly, scan.
 Every verb supports --json, which wraps the payload in a stable envelope
 {schema_version, command, result, warnings}.  Flags can also be supplied via
 environment variables with the SINGK3_ prefix (SINGK3_PRECISION,
-SINGK3_BOUND, SINGK3_JSON, SINGK3_KUMMER).  fractions, mpmath and the k3,
+SINGK3_BOUND, SINGK3_JSON, SINGK3_KUMMER).  They are read when a command runs,
+for the options its command line leaves out, so the parser is built once per
+process and a typed flag wins.  fractions, mpmath and the k3,
 lattices and modular layers are imported inside the verbs that use them, so
 classgroup, genus and scan start without them; bounds, factors and equation
 are in _numeric_verbs, which only they import.
@@ -18,6 +20,7 @@ limit), 3 computation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -95,47 +98,23 @@ def scan_bound(text: str) -> int:
     return value
 
 
-class _EnvText(str):
-    """A flag's default read from the environment variable `name`."""
-
-    def __new__(cls, name: str, text: str):
-        self = super().__new__(cls, text)
-        self.name = name
-        return self
+def _env_flag(text: str) -> bool:
+    return text.strip().lower() not in ("", "0", "false", "no", "off")
 
 
-def _env_default(name: str, fallback: str) -> str:
-    text = os.environ.get(name)
-    return fallback if text is None else _EnvText(name, text)
+# option -> (its environment variable, the conversion of a value, the value
+# when the variable is unset); read when a command runs, for each of these
+# options that the command line leaves out
+_ENV_DEFAULTS = {
+    "precision": ("SINGK3_PRECISION", precision_digits, "128"),
+    "bound": ("SINGK3_BOUND", scan_bound, "10000"),
+    "json": ("SINGK3_JSON", _env_flag, ""),
+    "kummer": ("SINGK3_KUMMER", _env_flag, ""),
+}
 
 
-def _naming_env(convert):
-    # A bad value that came from the environment names its variable.
-    def parse(text: str):
-        try:
-            return convert(text)
-        except ValueError:
-            if not isinstance(text, _EnvText):
-                raise
-            raise argparse.ArgumentTypeError(
-                f"invalid {convert.__name__} value {str(text)!r} from {text.name}"
-            ) from None
-        except argparse.ArgumentTypeError as exc:
-            if not isinstance(text, _EnvText):
-                raise
-            raise argparse.ArgumentTypeError(f"{exc} from {text.name}") from None
-
-    parse.__name__ = convert.__name__
-    return parse
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(f"SINGK3_{name}", "") not in ("", "0", "false", "no")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    # String defaults, environment ones included, go through `type` when the
-    # flag is absent, so a bad SINGK3_* value is a usage error too.
+@functools.cache
+def _build_parser() -> _Parser:
     parser = _Parser(
         prog="singk3",
         description="class groups, CM lattices, and field-of-definition bounds "
@@ -145,12 +124,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"singk3 {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
+    parser.verbs = sub.choices
 
     def add_precision(p):
         p.add_argument(
             "--precision",
-            type=_naming_env(precision_digits),
-            default=_env_default("SINGK3_PRECISION", "128"),
+            type=precision_digits,
             metavar="DIGITS",
             help="working precision in decimal digits, positive (default 128)",
         )
@@ -167,26 +146,44 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factors", help="CM points tau1, tau2 and their lattices")
     p.add_argument("--form", required=True, metavar="a,b,c")
-    p.add_argument("--kummer", action="store_true", default=_env_flag("KUMMER"),
+    p.add_argument("--kummer", action="store_true",
                    help="also report the half form when 2-divisible")
 
     p = sub.add_parser("equation", help="Weierstrass model of the pencil")
     p.add_argument("--form", required=True, metavar="a,b,c")
-    p.add_argument("--kummer", action="store_true", default=_env_flag("KUMMER"),
-                   help="emit the Kummer base change instead")
+    p.add_argument("--kummer", action="store_true", help="emit the Kummer base change instead")
     add_precision(p)
 
     p = sub.add_parser("classpoly", help="ring class polynomial of d")
     p.add_argument("d", type=int)
 
     p = sub.add_parser("scan", help="one-class-per-genus discriminant scan")
-    p.add_argument(
-        "--bound", type=_naming_env(scan_bound), default=_env_default("SINGK3_BOUND", "10000")
-    )
+    p.add_argument("--bound", type=scan_bound)
 
     for p in sub.choices.values():
-        p.add_argument("--json", action="store_true", default=_env_flag("JSON"))
+        p.add_argument("--json", action="store_true")
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    for dest, (name, convert, unset) in _ENV_DEFAULTS.items():
+        if getattr(args, dest, True) not in (None, False):
+            continue  # typed on the command line, or not an option of this verb
+        text = os.environ.get(name)
+        try:
+            value = convert(unset if text is None else text)
+        except ValueError:
+            message = f"invalid {convert.__name__} value {text!r}"
+        except argparse.ArgumentTypeError as exc:
+            message = str(exc)
+        else:
+            setattr(args, dest, value)
+            continue
+        # a usage error of the verb that names the variable
+        parser.verbs[args.verb].error(f"argument --{dest}: {message} from {name}")
+    return args
 
 
 def _form_list(forms) -> list[dict]:
@@ -322,9 +319,8 @@ def _verb(name: str):
 def run(argv: list[str], out=None) -> int:
     """Dispatch a command line; returns the exit code."""
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     compute, render = _verb(args.verb)

@@ -120,8 +120,6 @@ def test_factors_not_divisible_warns(capsys):
 def test_factors_json_matches_the_fraction_oracle_to_400(monkeypatch):
     from singk3 import _numeric_verbs
 
-    parser = cli._build_parser()  # built once: building it is most of a run's time
-    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
     argvs = [
         ["factors", "--form", str(q), "--json", *kummer]
         for q in reduced_forms(400)
@@ -482,6 +480,55 @@ def test_env_overrides(capsys, monkeypatch):
     monkeypatch.setenv("SINGK3_KUMMER", "1")
     res = run_json(capsys, ["factors", "--form", "4,0,4"])["result"]
     assert "kummer" in res
+
+
+def test_false_spellings_leave_a_flag_off(capsys, monkeypatch):
+    argv = ["factors", "--form", "4,0,4"]
+    for text in ("", "0", " 0 ", "false", "False", "FALSE", "no", "NO", "off", "Off"):
+        monkeypatch.setenv("SINGK3_JSON", text)
+        monkeypatch.setenv("SINGK3_KUMMER", text)
+        assert cli.run(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("d = -64") and "Kummer" not in out, text
+    for text in ("1", "yes", "true", "on"):
+        monkeypatch.setenv("SINGK3_JSON", text)
+        monkeypatch.setenv("SINGK3_KUMMER", text)
+        assert "kummer" in run_json(capsys, argv)["result"], text
+
+
+def test_the_parser_is_built_once_per_process(capsys):
+    cli.run(["classgroup", "-23"])
+    before = cli._build_parser.cache_info().misses
+    for argv in (["classgroup", "-23", "--json"], ["scan", "--bound", "100"], ["genus", "-56"]):
+        assert cli.run(argv) == 0
+    assert cli._build_parser.cache_info().misses == before <= 1
+
+
+def test_variables_are_read_when_a_command_runs(capsys, monkeypatch):
+    argv = ["bounds", "--form", "1,0,1"]
+    for digits in ("64", "30"):
+        monkeypatch.setenv("SINGK3_PRECISION", digits)
+        assert run_json(capsys, argv)["command"]["arguments"]["precision"] == int(digits)
+    monkeypatch.delenv("SINGK3_PRECISION")
+    assert run_json(capsys, argv)["command"]["arguments"]["precision"] == 128
+    argv = ["factors", "--form", "4,0,4"]
+    monkeypatch.setenv("SINGK3_KUMMER", "1")
+    assert "kummer" in run_json(capsys, argv)["result"]
+    monkeypatch.setenv("SINGK3_KUMMER", "0")
+    assert "kummer" not in run_json(capsys, argv)["result"]
+
+
+def test_a_typed_flag_beats_its_variable(capsys, monkeypatch):
+    for text in ("64", "abc"):  # a bad value is not read when the flag is typed
+        monkeypatch.setenv("SINGK3_PRECISION", text)
+        env = run_json(capsys, ["bounds", "--form", "1,0,1", "--precision", "30"])
+        assert env["command"]["arguments"]["precision"] == 30
+    monkeypatch.setenv("SINGK3_BOUND", "abc")
+    assert run_json(capsys, ["scan", "--bound", "100"])["result"]["bound"] == 100
+    monkeypatch.setenv("SINGK3_KUMMER", "0")
+    assert "kummer" in run_json(capsys, ["factors", "--form", "4,0,4", "--kummer"])["result"]
+    monkeypatch.setenv("SINGK3_JSON", "0")
+    run_json(capsys, ["classgroup", "-23"])  # run_json types --json
 
 
 def test_version_flag(capsys):
