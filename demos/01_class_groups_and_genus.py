@@ -27,15 +27,15 @@ print(f"({gen})^3        = ({gen ** 3})   <- the principal form")
 print()
 
 # All three classes are squares, so there is a single genus.
-print("squares subgroup:", sorted(str(f) for f in genus_partition(G).principal_genus))
-print("genera:", [sorted(map(str, c)) for c in genus_partition(G).cosets])
+print("squares subgroup:", sorted(str(f) for f in genus_partition(-23).principal_genus))
+print("genera:", [sorted(map(str, c)) for c in genus_partition(-23).cosets])
 print()
 
 # Discriminant -56 splits into two genera of two classes each.  The genus of
 # a class is its vector of assigned characters; the genera are the cosets of
 # the squares.
 G56 = class_group(-56)
-part = genus_partition(G56)
+part = genus_partition(-56)
 print(f"Cl(-56): h = {G56.order}, invariant factors {G56.cyclic_orders()}")
 for coset in part.cosets:
     tag = "principal" if coset == part.principal_genus else "other    "

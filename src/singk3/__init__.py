@@ -63,7 +63,6 @@ _LAZY = {
     "TauPair": "lattices",
     "homothety_equal": "lattices",
     "lattice_from_form": "lattices",
-    "minimal_form": "lattices",
     "multiply": "lattices",
     "shioda_mitani_check": "lattices",
     "sm_factors": "lattices",

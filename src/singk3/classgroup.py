@@ -147,8 +147,12 @@ def _solved_b(d: int, amax: int) -> Iterator[tuple[int, list[int]]]:
 
 
 def iter_reduced_primitive_forms(d: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (a, b, c) for every reduced primitive form of discriminant d, ordered by a, then by b."""
-    check_discriminant(d)
+    """Yield (a, b, c) for every reduced primitive form of discriminant d, ordered by a, then by b.
+
+    |d| above 10^10 raises InputTooLarge before anything is enumerated.
+    """
+    if check_discriminant(d) < -_MAX_CLASS_GROUP_ABS_D:
+        raise InputTooLarge("class groups are limited to |d| <= 10^10")
     amax = isqrt(-d // 3)
     yield 1, d & 1, ((d & 1) - d) // 4  # the principal form
     for a, bs in _solved_b(d, amax):
@@ -162,8 +166,6 @@ def iter_reduced_primitive_forms(d: int) -> Iterator[tuple[int, int, int]]:
 @lru_cache(maxsize=_CACHE_SIZE)
 def reduced_primitive_forms(d: int) -> tuple[Form, ...]:
     """Cl(d) as its reduced primitive forms, sorted; |d| above 10^10 raises InputTooLarge."""
-    if check_discriminant(d) < -_MAX_CLASS_GROUP_ABS_D:
-        raise InputTooLarge("class groups are limited to |d| <= 10^10")
     return tuple(sorted(starmap(Form, iter_reduced_primitive_forms(d)), key=form_sort_key))
 
 
@@ -299,8 +301,11 @@ class GenusPartition(namedtuple("GenusPartition", "cosets principal_genus")):
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _genera(d: int) -> GenusPartition:
-    # the genus partition of Cl(d), read off its elements without decomposing
+def genus_partition(d: int) -> GenusPartition:
+    """Cl(d) grouped by assigned character vector, genera in the order of their first class.
+
+    Read off the elements alone, without decomposing Cl(d), and cached per d.
+    """
     elements = reduced_primitive_forms(d)
     odd_primes = sorted(p for p in factorize(-d) if p != 2)
     genera: dict[tuple[int, ...], list[Form]] = {}
@@ -313,18 +318,9 @@ def _genera(d: int) -> GenusPartition:
     return GenusPartition(cosets, cosets[0])
 
 
-def genus_partition(group: ClassGroup) -> GenusPartition:
-    """Cl(d) grouped by assigned character vector, genera in the order of their first class.
-
-    The partition is cached per discriminant and read off the elements alone;
-    classes_per_genus and the genus verb reach it without decomposing Cl(d).
-    """
-    return _genera(group.discriminant)
-
-
 def classes_per_genus(d: int) -> int:
     """n = h/g = #Cl^2(d)."""
-    return len(_genera(d).principal_genus)
+    return len(genus_partition(d).principal_genus)
 
 
 def _on_boundary(form: tuple[int, int, int]) -> bool:

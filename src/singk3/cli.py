@@ -27,12 +27,12 @@ import sys
 
 from . import __version__
 from .classgroup import (
-    _genera,
     class_group,
     class_number,
     classes_per_genus,
     distinct_fields,
     fundamental_data,
+    genus_partition,
     scan_one_class_per_genus,
 )
 from .errors import (
@@ -215,15 +215,14 @@ def _render_classgroup(result, out):
 
 
 def _run_genus(args, warnings):
-    # classes_per_genus computes the genera from the elements alone, so Cl(d)
-    # is not decomposed; the cosets are then read from the same cache
-    n = classes_per_genus(args.d)
-    cosets = [_form_list(c) for c in _genera(args.d).cosets]
+    # the genera come from the elements alone, so Cl(d) is not decomposed
+    part = genus_partition(args.d)
+    cosets = [_form_list(c) for c in part.cosets]
     return {
         "d": args.d,
         "h": class_number(args.d),
         "g": len(cosets),
-        "n": n,
+        "n": len(part.principal_genus),
         "principal_genus": cosets[0],  # the genus of the identity comes first
         "cosets": cosets,
     }

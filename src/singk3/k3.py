@@ -41,10 +41,10 @@ from mpmath import mp, mpc
 from ._factor import factorize
 from .classgroup import (
     _CACHE_SIZE,
-    _genera,
     class_number,
     classes_per_genus,
     fundamental_data,
+    genus_partition,
     is_two_torsion,
 )
 from .errors import InconsistentPair
@@ -110,7 +110,7 @@ def genus_of_transcendental_lattice(q: Form) -> frozenset[Form]:
     cached coset of genus_partition, not a copy."""
     qp = q.primitive_part().reduced()
     m = q.content()
-    coset = _genera(qp.discriminant()).coset_of(qp)
+    coset = genus_partition(qp.discriminant()).coset_of(qp)
     return coset if m == 1 else frozenset(f.scaled(m) for f in coset)
 
 

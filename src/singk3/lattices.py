@@ -122,18 +122,6 @@ def _coordinates(w1: QuadElement, w2: QuadElement) -> tuple[Coordinates, Coordin
     )
 
 
-def minimal_form(tau: QuadElement) -> Form:
-    # primitive integral (A, B, C), A > 0, with A*tau^2 + B*tau + C = 0;
-    # requires tau genuinely quadratic (y != 0)
-    two_x = -2 * tau.x
-    nrm = tau.norm()
-    den = lcm(two_x.denominator, nrm.denominator)
-    b = two_x.numerator * (den // two_x.denominator)
-    c = nrm.numerator * (den // nrm.denominator)
-    g = gcd(den, b, c)
-    return Form(den // g, b // g, c // g)
-
-
 def _class(D: int, w1: Coordinates, w2: Coordinates) -> tuple[tuple[int, int, int], int]:
     # Reduced form and conductor of Z*w1 + Z*w2.  tau = w2/w1 = (u + v*sqrt(D))/n
     # with u + v*sqrt(D) = w2*conj(w1), n = N(w1) > 0 and N(tau) = N(w2)/n.
@@ -220,20 +208,6 @@ def lattice_from_form(f: Form) -> QuadLattice:
     return lat
 
 
-def _xgcd(x: int, y: int) -> tuple[int, int, int]:
-    # returns (g, u, v) with u*x + v*y = g = gcd(x, y)
-    g, u, v = x, 1, 0
-    g2, u2, v2 = y, 0, 1
-    while g2:
-        q = g // g2
-        g, g2 = g2, g - q * g2
-        u, u2 = u2, u - q * u2
-        v, v2 = v2, v - q * v2
-    if g < 0:
-        g, u, v = -g, -u, -v
-    return g, u, v
-
-
 def _hnf_two_columns(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], int]:
     # Hermite normal form of an n x 2 integer matrix of row rank 2:
     # returns ((p, q), r) for the basis (p, q), (0, r) with p, r > 0, 0 <= q < r.
@@ -246,7 +220,9 @@ def _hnf_two_columns(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], int]
         if p == 0:
             p, q = (u, v) if u > 0 else (-u, -v)
             continue
-        g, s, t = _xgcd(p, u)
+        g = gcd(p, u)  # s*p + t*u = g
+        s = pow(p // g, -1, abs(u) // g)
+        t = (g - s * p) // u
         tail.append((u * q - p * v) // g)
         p, q = g, s * q + t * v
     r = 0

@@ -13,9 +13,9 @@ and pencil_conjugates moves classes with singk3's composition and lattice
 multiplication and evaluates j_of_form to check which pencil coefficients
 singk3.k3 emits as exact rationals.  printed_digit_faults reruns the numeric
 verbs at twice the digits, so it checks the digits they print, not the values.
-The fraction_* lattice functions are the route singk3.lattices ran on
-Fractions; they share its records, minimal_form, Form.reduced and its Hermite
-normal form, and check the integer coordinates, norms and traces that
+The fraction_* lattice functions and minimal_form are the route
+singk3.lattices ran on Fractions; they share its records, Form.reduced and its
+Hermite normal form, and check the integer coordinates, norms and traces that
 replaced them.
 """
 
@@ -28,7 +28,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, isqrt, lcm
+from math import ceil, gcd, isqrt, lcm
 
 from singk3.forms import Form
 
@@ -363,13 +363,26 @@ def rational_by_conjugates(conjugates) -> bool:
 # Lattices on Fractions: the route singk3.lattices ran before it moved to
 # integer coordinates.  tau = w2/w1 is a QuadElement quotient and its minimal
 # polynomial is read off Fractions; only the records, QuadElement arithmetic,
-# minimal_form, Form.reduced, tau_from_form, sm_factors and the two-column HNF
-# are shared.
+# Form.reduced, tau_from_form, sm_factors and the two-column HNF are shared.
+
+
+def minimal_form(tau) -> Form:
+    """The primitive integral (A, B, C), A > 0, with A*tau^2 + B*tau + C = 0.
+
+    tau is a QuadElement with y != 0; its trace and norm are read on Fractions.
+    """
+    two_x = -2 * tau.x
+    nrm = tau.norm()
+    den = lcm(two_x.denominator, nrm.denominator)
+    b = two_x.numerator * (den // two_x.denominator)
+    c = nrm.numerator * (den // nrm.denominator)
+    g = gcd(den, b, c)
+    return Form(den // g, b // g, c // g)
 
 
 def fraction_from_basis(w1, w2):
     """QuadLattice.from_basis through tau = w2 / w1 on Fractions."""
-    from singk3.lattices import QuadLattice, minimal_form
+    from singk3.lattices import QuadLattice
 
     w1._same_field(w2)
     d_K = w1.field_discriminant

@@ -20,7 +20,7 @@ from singk3.classgroup import (
     scan_one_class_per_genus,
 )
 from singk3._factor import factorize
-from singk3.errors import ImprimitiveInput, InvalidDiscriminant, NotReduced
+from singk3.errors import ImprimitiveInput, InputTooLarge, InvalidDiscriminant, NotReduced
 from singk3.forms import Form, compose, power, principal_form
 
 from oracles import (
@@ -196,13 +196,16 @@ def test_elements_only_callers_do_not_decompose(monkeypatch):
     # h and n; -1049892 has Cl = Z/134 x Z/2, so n = #Cl^2 = 67
     for d, h, n in ((-56, 4, 2), (-1049892, 268, 67)):
         classgroup.reduced_primitive_forms.cache_clear()
-        classgroup._genera.cache_clear()
+        genus_partition.cache_clear()
         out = io.StringIO()
         assert cli.run(["genus", str(d), "--json"], out=out) == 0
         assert json.loads(out.getvalue())["result"]["n"] == n
         classgroup.reduced_primitive_forms.cache_clear()
-        classgroup._genera.cache_clear()
+        genus_partition.cache_clear()
         assert (classes_per_genus(d), class_number(d)) == (n, h)
+        genus_partition.cache_clear()
+        part = genus_partition(d)
+        assert (len(part.principal_genus), part.genus_count) == (n, h // n)
 
 
 @pytest.mark.slow
@@ -223,7 +226,7 @@ def test_decomposition_of_a_class_group_of_order_7253(monkeypatch):
 
 def test_squares_subgroup_examples():
     def squares(d):
-        return genus_partition(class_group(d)).principal_genus
+        return genus_partition(d).principal_genus
 
     assert squares(-23) == frozenset(class_group(-23).elements)
     assert squares(-4) == frozenset({Form(1, 0, 1)})
@@ -231,11 +234,11 @@ def test_squares_subgroup_examples():
 
 
 def test_genus_partition_examples():
-    p23 = genus_partition(class_group(-23))
+    p23 = genus_partition(-23)
     assert p23.genus_count == 1 and len(p23.cosets[0]) == 3
-    p4 = genus_partition(class_group(-4))
+    p4 = genus_partition(-4)
     assert p4.genus_count == 1 and len(p4.cosets[0]) == 1
-    p56 = genus_partition(class_group(-56))
+    p56 = genus_partition(-56)
     assert p56.genus_count == 2
     assert all(len(c) == 2 for c in p56.cosets)
     assert p56.principal_genus == frozenset({Form(1, 0, 14), Form(2, 0, 7)})
@@ -243,8 +246,7 @@ def test_genus_partition_examples():
 
 def assert_reference_genus_partition(d):
     # the same cosets in the same order, and the same principal genus
-    group = class_group(d)
-    assert genus_partition(group) == reference_genus_partition(group), d
+    assert genus_partition(d) == reference_genus_partition(class_group(d)), d
 
 
 def test_genus_partition_matches_the_cosets_of_squares():
@@ -267,7 +269,7 @@ def test_records_are_immutable_value_tuples():
     assert group._fields == ("discriminant", "elements", "generators")
     assert group == fresh and group is not fresh and hash(group) == hash(fresh)
     assert (group.order, group.identity, group.cyclic_orders()) == (4, Form(1, 0, 14), (4,))
-    part = genus_partition(group)
+    part = genus_partition(-56)
     assert part._fields == ("cosets", "principal_genus")
     assert part == reference_genus_partition(fresh) and part.genus_count == 2
     assert part.coset_of(Form(3, -2, 5)) == frozenset({Form(3, 2, 5), Form(3, -2, 5)})
@@ -287,14 +289,14 @@ def test_genus_partition_composes_nothing(monkeypatch):
     calls = count_compositions(monkeypatch)
     for d in (-56, -5460, -8323968, -446185740):
         calls[0] = 0
-        classgroup._genera.__wrapped__(d)  # bypass the cache
+        genus_partition.__wrapped__(d)  # bypass the cache
         assert calls[0] == 0, (d, calls[0])
 
 
 def test_genus_partition_structure():
     for d in VALID[:300]:
         group = class_group(d)
-        part = genus_partition(group)
+        part = genus_partition(d)
         n = classes_per_genus(d)
         assert sorted(map(len, part.cosets)) == [n] * part.genus_count
         assert n * part.genus_count == group.order
@@ -329,6 +331,21 @@ def test_is_one_class_per_genus_examples():
     assert not is_one_class_per_genus(-23)
     assert is_one_class_per_genus(-4)
     assert not is_one_class_per_genus(-56)
+
+
+def test_every_enumeration_refuses_oversized_d():
+    # the size limit sits in the enumeration that every class-group route
+    # reads, so it holds before the sieve of _solved_b is built
+    assert not is_one_class_per_genus(-(10**10))
+    routes = (
+        is_one_class_per_genus,
+        lambda d: next(iter_reduced_primitive_forms(d)),
+        classgroup.reduced_primitive_forms,
+        genus_partition,
+    )
+    for route in routes:
+        with pytest.raises(InputTooLarge, match=r"\|d\| <= 10\^10"):
+            route(-(10**10 + 4))
 
 
 def test_scan_examples():
@@ -436,12 +453,13 @@ def test_discriminant_caches_are_bounded():
     # these caches without bound
     for n in range(3, 2301):
         if n % 4 in (0, 3):
-            genus_partition(class_group(-n))
+            class_group(-n)
+            genus_partition(-n)
             fundamental_data(-n)
     for cached in (
         class_group,
         classgroup.reduced_primitive_forms,
-        classgroup._genera,
+        genus_partition,
         fundamental_data,
     ):
         assert cached.cache_info().currsize <= 1024

@@ -14,7 +14,6 @@ from singk3.lattices import (
     galois_orbit_classes,
     homothety_equal,
     lattice_from_form,
-    minimal_form,
     multiply,
     shioda_mitani_check,
     sm_factors,
@@ -27,6 +26,7 @@ from oracles import (
     fraction_lattice_from_form,
     fraction_multiply,
     fraction_shioda_mitani_check,
+    minimal_form,
     reduced_forms,
 )
 
@@ -286,7 +286,7 @@ def test_galois_orbit_is_rescaled_principal_genus_coset():
         f = rng.choice(class_group(d).elements)
         m = rng.randint(1, 6)
         q = f.scaled(m)
-        part = genus_partition(class_group(d))
+        part = genus_partition(d)
         expected = frozenset(g.scaled(m) for g in part.coset_of(f))
         assert galois_orbit_classes(q) == expected
 
