@@ -29,7 +29,6 @@ from . import __version__
 from .classgroup import (
     class_group,
     class_number,
-    classes_per_genus,
     distinct_fields,
     fundamental_data,
     genus_partition,
@@ -45,7 +44,7 @@ from .errors import (
 )
 from .forms import form_sort_key
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 
 _USAGE_ERRORS = (
     ParseError,
@@ -217,14 +216,12 @@ def _render_classgroup(result, out):
 def _run_genus(args, warnings):
     # the genera come from the elements alone, so Cl(d) is not decomposed
     part = genus_partition(args.d)
-    cosets = [_form_list(c) for c in part.cosets]
     return {
         "d": args.d,
         "h": class_number(args.d),
-        "g": len(cosets),
+        "g": len(part.cosets),
         "n": len(part.principal_genus),
-        "principal_genus": cosets[0],  # the genus of the identity comes first
-        "cosets": cosets,
+        "cosets": [_form_list(c) for c in part.cosets],  # the principal genus first
     }
 
 
@@ -235,7 +232,7 @@ def _render_genus(result, out):
         file=out,
     )
     for i, coset in enumerate(result["cosets"]):
-        tag = " (principal)" if coset == result["principal_genus"] else ""
+        tag = "" if i else " (principal)"
         print(f"  genus {i}{tag}: {' '.join(map(_form_str, coset))}", file=out)
 
 
@@ -249,7 +246,6 @@ def _run_classpoly(args, warnings):
         "coefficients": poly.as_json(),
         "certificate": {
             "precision_bits": poly.precision_bits,
-            "rounds": poly.rounds,
             "error_bound_log2": poly.error_bound_log2,
         },
     }
@@ -260,8 +256,7 @@ def _render_classpoly(result, out):
     print("  coefficients (constant first): " + " ".join(result["coefficients"]), file=out)
     cert = result["certificate"]
     print(
-        f"  certified at {cert['precision_bits']} bits in {cert['rounds']} round(s), "
-        f"error < 2^{cert['error_bound_log2']}",
+        f"  certified at {cert['precision_bits']} bits, error < 2^{cert['error_bound_log2']}",
         file=out,
     )
 
@@ -272,11 +267,9 @@ def _run_scan(args, warnings):
     warnings.append(_SCAN_CAVEAT)
     records = []
     for d in hits:
-        h = class_number(d)
-        n = classes_per_genus(d)
         fd = fundamental_data(d)
         records.append(
-            {"d": d, "h": h, "g": h // n, "n": n, "d_K": fd.field_discriminant, "f": fd.conductor}
+            {"d": d, "h": class_number(d), "d_K": fd.field_discriminant, "f": fd.conductor}
         )
     return {
         "bound": args.bound,

@@ -34,7 +34,7 @@ class FieldMismatch(SingK3Error):
 
 
 class PrecisionExhausted(SingK3Error):
-    """Certified rounding failed even after raising the working precision."""
+    """Certified rounding failed at the working precision."""
 
 
 class InconsistentPair(SingK3Error):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from math import gcd
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .errors import (
     ImprimitiveInput,
@@ -47,15 +47,16 @@ def check_discriminant(d: int) -> int:
 class Form(tuple):
     """Positive definite integral binary quadratic form a*x^2 + b*x*y + c*y^2.
 
-    A Form is the tuple (a, b, c), validated when built: it unpacks, hashes,
-    compares equal to (a, b, c) and orders as that tuple.  f * g and f ** k
-    are composition and powers; tuple + and integer repetition stay tuple
-    operations.
+    A Form is the tuple (a, b, c) of ints (a float raises TypeError), validated
+    when built: it unpacks, hashes, compares equal to (a, b, c) and orders as
+    that tuple.  f * g and f ** k are composition and powers; tuple + and
+    integer repetition stay tuple operations.
     """
 
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, c: int) -> Form:
+        a, b, c = index(a), index(b), index(c)
         if a <= 0 or c <= 0:
             raise NotPositiveDefinite(f"({a},{b},{c}) is not positive definite")
         if b * b - 4 * a * c >= 0:
@@ -153,7 +154,8 @@ class Form(tuple):
     @classmethod
     def from_json(cls, obj: dict) -> Form:
         try:
-            return cls(int(obj["a"]), int(obj["b"]), int(obj["c"]))
+            coeffs = obj["a"], obj["b"], obj["c"]
+            return cls(*(int(v) if isinstance(v, str) else v for v in coeffs))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad form object {obj!r}") from exc
 

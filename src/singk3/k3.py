@@ -195,8 +195,7 @@ def _normalized_j(f: Form, precision_bits: int) -> mpc:
     return mp.fdiv(j_of_form(f, precision_bits), 1728, prec=precision_bits + _GUARD_BITS)
 
 
-# typed=True, as on _pencil_values below
-@lru_cache(maxsize=_CACHE_SIZE, typed=True)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _principal_j(d: int, precision_bits: int) -> mpc:
     # j_n(tau2): tau2 spans O_d, whose class is the principal form of d
     return _normalized_j(principal_form(d), precision_bits)
@@ -273,11 +272,8 @@ def _fmt(v: Fraction) -> str:
     return f"({v})*"
 
 
-# typed=True: a precision of 428.0 or True must reach _check_precision, not a
-# cached 428 or 1.
-@lru_cache(maxsize=_CACHE_SIZE, typed=True)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _pencil_values(q: Form, precision_bits: int):
-    _check_precision(precision_bits)  # also where the values come out exact
     sc = surface_class(q)
     a_zero = sc.primitive_discriminant == -3 or sc.discriminant == -3
     b_zero = sc.primitive_discriminant == -4 or sc.discriminant == -4
@@ -312,6 +308,7 @@ def inose_pencil(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> Weier
     precision_bits above _MAX_PRECISION_BITS raises InputTooLarge, and one
     that is not an integer >= 1 raises ValueError.
     """
+    _check_precision(precision_bits)
     A, B, degenerate = _pencil_values(q, precision_bits)
     return WeierstrassModel("inose_pencil", A, B, degenerate, precision_bits)
 
@@ -322,5 +319,6 @@ def kummer_equation(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> We
     precision_bits above _MAX_PRECISION_BITS raises InputTooLarge, and one
     that is not an integer >= 1 raises ValueError.
     """
+    _check_precision(precision_bits)
     A, B, degenerate = _pencil_values(q, precision_bits)
     return WeierstrassModel("kummer", A, B, degenerate, precision_bits)

@@ -17,8 +17,8 @@ for each pair of inverse classes (a, +-b, c), whose values are complex
 conjugates, and the product is taken over real linear and quadratic factors
 on the same fixed-point integers.  A coefficient is rounded to an integer only
 when an explicit bound on its error proves the rounding (the certificate above
-_approximate_coefficients); otherwise the working precision is doubled and the
-pass repeated.
+_approximate_coefficients), which one pass at the precision of an a-priori
+height bound always meets; a pass that does not raises PrecisionExhausted.
 
 The values returned are immutable and safe to share between threads.
 class_polynomial works on integers alone and never touches mpmath, so it may
@@ -48,15 +48,15 @@ _MAX_CLASSPOLY_ABS_D = 25000
 
 class ClassPolynomial(
     namedtuple(
-        "ClassPolynomial", "discriminant coefficients precision_bits rounds error_bound_log2"
+        "ClassPolynomial", "discriminant coefficients precision_bits error_bound_log2"
     )
 ):
     """Monic integer polynomial with roots j(tau_F), F in Cl(d).
 
     coefficients are listed constant term first and include the leading 1.
     class_polynomial returns one only after certifying it, and raises otherwise:
-    the accepted pass ran at precision_bits after `rounds` passes, and every
-    coefficient's error before rounding was below 2^error_bound_log2.
+    its one pass ran at precision_bits, and every coefficient's error before
+    rounding was below 2^error_bound_log2.
     """
 
     __slots__ = ()
@@ -448,6 +448,10 @@ def _fixed_j(f: Form, wp: int) -> tuple[int, int]:
 # factor 5 covers the float rounding of the sum (h B < 2^45).  Coefficient k is
 # accepted only if |c_k' - nint(c_k')| + 2^e < 1/2, compared exactly on the
 # integers, which proves nint(c_k') = c_k.
+# One pass suffices: wp = ceil(L + log2 h) + 16 (_height_precision_bits) with
+# L = sum_F log2(e^x_F + 2080) >= sum_F log2(1 + |j_F|), which sum_F log2(1 +
+# |J_F|) exceeds by less than 2 h delta, so e <= ceil(log2 5) - 16 = -13 (-12
+# where rounding moves a ceiling), and every c_k' within 2^e of c_k is accepted.
 
 
 def _approximate_coefficients(d: int, wp: int) -> tuple[list[int], int]:
@@ -503,19 +507,17 @@ def class_polynomial(d: int) -> ClassPolynomial:
     One pass at a precision taken from the a-priori height bound evaluates j
     once per pair of inverse classes on fixed-point integers and multiplies
     real factors; each coefficient is rounded only under a proven error bound
-    (the certificate above _approximate_coefficients), else the precision
-    doubles, for at most 5 passes.  |d| above _MAX_CLASSPOLY_ABS_D raises
-    InputTooLarge.
+    (the certificate above _approximate_coefficients), and a pass that does not
+    prove every rounding raises PrecisionExhausted.  |d| above
+    _MAX_CLASSPOLY_ABS_D raises InputTooLarge.
     """
     if abs(d) > _MAX_CLASSPOLY_ABS_D:
         raise InputTooLarge(
             f"class polynomials are limited to |d| <= {_MAX_CLASSPOLY_ABS_D}, got d = {d}"
         )
     wp = _height_precision_bits(d)
-    for rounds in range(1, 6):
-        approx, err_log2 = _approximate_coefficients(d, wp)
-        coeffs = _integer_coefficients(approx, err_log2, wp + _GUARD_BITS)
-        if coeffs is not None:
-            return ClassPolynomial(d, coeffs, wp, rounds, err_log2)
-        wp *= 2
-    raise PrecisionExhausted(f"class polynomial for d={d} did not stabilize")
+    approx, err_log2 = _approximate_coefficients(d, wp)
+    coeffs = _integer_coefficients(approx, err_log2, wp + _GUARD_BITS)
+    if coeffs is None:
+        raise PrecisionExhausted(f"class polynomial for d={d} is not certified at {wp} bits")
+    return ClassPolynomial(d, coeffs, wp, err_log2)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from singk3 import cli, modular
+from singk3.classgroup import classes_per_genus
 from singk3.errors import PrecisionExhausted
 from singk3.forms import Form
 
@@ -28,7 +30,7 @@ def run_json(capsys, argv):
     out = capsys.readouterr().out
     assert code == 0, out
     envelope = json.loads(out)
-    assert envelope["schema_version"] == "4"
+    assert envelope["schema_version"] == "5"
     return envelope
 
 
@@ -51,8 +53,9 @@ def test_classgroup_text(capsys):
 
 def test_genus_verb(capsys):
     res = run_json(capsys, ["genus", "-56"])["result"]
+    assert set(res) == {"d", "h", "g", "n", "cosets"}  # no principal_genus
     assert (res["h"], res["g"], res["n"]) == (4, 2, 2)
-    principal = {Form.from_json(f) for f in res["principal_genus"]}
+    principal = {Form.from_json(f) for f in res["cosets"][0]}
     assert principal == {Form(1, 0, 14), Form(2, 0, 7)}
 
 
@@ -214,8 +217,8 @@ def test_classpoly_verb(capsys):
     assert res["degree"] == 3
     assert res["coefficients"] == ["12771880859375", "-5151296875", "3491750", "1"]
     cert = res["certificate"]
-    assert set(cert) == {"precision_bits", "rounds", "error_bound_log2"}
-    assert cert["rounds"] == 1 and cert["precision_bits"] > 0 and cert["error_bound_log2"] < -1
+    assert set(cert) == {"precision_bits", "error_bound_log2"}
+    assert cert["precision_bits"] > 0 and cert["error_bound_log2"] <= -12
 
 
 def test_classpoly_text_ends_with_the_certificate(capsys):
@@ -226,7 +229,7 @@ def test_classpoly_text_ends_with_the_certificate(capsys):
         "  coefficients (constant first): 12771880859375 -5151296875 3491750 1",
     ]
     assert len(lines) == 3
-    assert lines[2].startswith("  certified at ") and " bits in 1 round(s), error < 2^-" in lines[2]
+    assert re.fullmatch(r"  certified at \d+ bits, error < 2\^-\d+", lines[2]), lines[2]
 
 
 def test_classpoly_over_the_size_limit_is_usage_error(capsys):
@@ -253,8 +256,9 @@ def test_scan_verb(capsys):
     env = run_json(capsys, ["scan", "--bound", "100"])
     res = env["result"]
     assert res["count"] == len(res["records"])
-    assert res["records"][0] == {"d": -3, "h": 1, "g": 1, "n": 1, "d_K": -3, "f": 1}
-    assert all(r["n"] == 1 for r in res["records"])
+    assert res["records"][0] == {"d": -3, "h": 1, "d_K": -3, "f": 1}
+    assert all(set(r) == {"d", "h", "d_K", "f"} for r in res["records"])
+    assert all(classes_per_genus(r["d"]) == 1 for r in res["records"])
     assert res["field_count"] == len(set(r["d_K"] for r in res["records"]))
     assert any("cutoff" in w for w in env["warnings"])
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -216,6 +217,26 @@ def test_json_serialization():
     assert Form.from_json(obj) == f
     with pytest.raises(ParseError):
         Form.from_json({"a": "1"})
+
+
+def test_non_integer_coefficients_are_refused():
+    # a float would survive into reduced() and break content() in gcd
+    for coeffs in ((1.5, 0, 1), (2.0, 1, 3), (1, Fraction(1), 3)):
+        with pytest.raises(TypeError):
+            Form(*coeffs)
+
+
+def test_integer_types_become_int():
+    f = Form(True, 1, 1)
+    assert str(f) == "1,1,1" and repr(f) == "Form(a=1, b=1, c=1)"
+    assert all(type(x) is int for x in f)
+
+
+def test_json_refuses_non_integral_coefficients():
+    for value in (1.7, 2.0, None, [2]):
+        with pytest.raises(ParseError):
+            Form.from_json({"a": value, "b": 1, "c": 3})
+    assert Form.from_json({"a": 2, "b": "1", "c": 3}) == Form(2, 1, 3)
 
 
 def test_validation_messages():

@@ -10,7 +10,7 @@ from mpmath import mp
 
 from singk3 import modular
 from singk3.classgroup import class_group, class_number
-from singk3.errors import InputTooLarge
+from singk3.errors import InputTooLarge, PrecisionExhausted
 from singk3.forms import Form
 from singk3.modular import (
     _GUARD_BITS,
@@ -142,14 +142,12 @@ def test_class_polynomial_structure():
 
 def test_class_polynomial_record():
     poly = class_polynomial(-23)
-    assert poly._fields == (
-        "discriminant", "coefficients", "precision_bits", "rounds", "error_bound_log2"
-    )
+    assert poly._fields == ("discriminant", "coefficients", "precision_bits", "error_bound_log2")
     assert poly == modular.ClassPolynomial(-23, *poly[1:]) and hash(poly) == hash(tuple(poly))
     assert poly.degree == 3 and poly.evaluate(0) == 12771880859375
     assert poly.as_json() == ["12771880859375", "-5151296875", "3491750", "1"]
     with pytest.raises(AttributeError):
-        poly.rounds = 2
+        poly.precision_bits = 2
     with pytest.raises(AttributeError):
         poly.extra = None
 
@@ -166,7 +164,16 @@ def test_class_polynomial_matches_reference_to_500():
 @pytest.mark.slow
 def test_class_polynomial_matches_reference_to_2000():
     for d in _discriminants(2000):
-        assert class_polynomial(d).coefficients == reference_class_polynomial(d), d
+        poly = class_polynomial(d)
+        assert poly.coefficients == reference_class_polynomial(d), d
+        assert poly.error_bound_log2 <= -12, d
+
+
+def test_one_pass_certifies_with_room_to_spare_to_1200():
+    # the height-bound precision leaves every coefficient within 2^-12 of its
+    # integer (the end of the certificate comment in modular), far inside 1/2
+    for d in _discriminants(1200):
+        assert class_polynomial(d).error_bound_log2 <= -12, d
 
 
 def record_passes(monkeypatch) -> list:
@@ -188,20 +195,17 @@ def assert_within_the_bound(approx, e, wp, exact):
         assert abs(c_hat - (c << bits)) <= 1 << (e + bits), wp
 
 
-def test_class_polynomial_falls_back_to_doubled_precision(monkeypatch):
-    # every pass, also one too short to round, stays within its bound 2^e; the
-    # integer rounding refuses each pass but the last
+def test_class_polynomial_refuses_an_uncertified_pass(monkeypatch):
+    # a pass too short to round still stays within its bound 2^e; the integer
+    # rounding refuses it, and class_polynomial raises instead of retrying
     monkeypatch.setattr(modular, "_height_precision_bits", lambda d: 64)
     passes = record_passes(monkeypatch)
-    poly = class_polynomial(-71)
-    assert poly.coefficients == H_MINUS_71
-    assert poly.rounds > 1
-    assert poly.precision_bits == 64 * 2 ** (poly.rounds - 1)
-    assert len(passes) == poly.rounds
-    for k, (wp, (approx, e)) in enumerate(passes, 1):
-        assert_within_the_bound(approx, e, wp, H_MINUS_71)
-        rounded = modular._integer_coefficients(approx, e, wp + _GUARD_BITS)
-        assert rounded == (H_MINUS_71 if k == poly.rounds else None), wp
+    with pytest.raises(PrecisionExhausted, match="not certified at 64 bits"):
+        class_polynomial(-71)
+    [(wp, (approx, e))] = passes
+    assert wp == 64
+    assert_within_the_bound(approx, e, wp, H_MINUS_71)
+    assert modular._integer_coefficients(approx, e, wp + _GUARD_BITS) is None
 
 
 def test_error_bound_covers_the_actual_error_on_pooled_d(monkeypatch):
@@ -211,7 +215,7 @@ def test_error_bound_covers_the_actual_error_on_pooled_d(monkeypatch):
     for d in POOLED_D:
         passes.clear()
         poly = class_polynomial(d)
-        assert poly.rounds == len(passes) == 1
+        assert len(passes) == 1
         assert poly.precision_bits == _height_precision_bits(d)
         wp, (approx, e) = passes[0]
         assert e == poly.error_bound_log2
