@@ -12,7 +12,8 @@ from fractions import Fraction
 from mpmath import mp
 from mpmath.libmp import dps_to_prec
 
-from .cli import _form_str
+from .cli import _USAGE_ERRORS, _form_str
+from .errors import ParseError
 from .forms import Form
 from .k3 import analyze, inose_pencil, kummer_equation, kummer_reduction
 from .lattices import lattice_from_form, sm_factors
@@ -49,8 +50,16 @@ def _quad_str(t: dict) -> str:
     return f"({x} + {y}*sqrt({t['d_K']}))"
 
 
+def _form(args) -> Form:
+    # the --form value; a bad one is a usage error whose line names the option
+    try:
+        return Form.from_text(args.form)
+    except _USAGE_ERRORS as exc:
+        raise ParseError(f"argument --form: {exc}") from None
+
+
 def _run_bounds(args, warnings):
-    q = Form.from_text(args.form)
+    q = _form(args)
     report = analyze(q, dps_to_prec(args.precision))
     sc = report.surface
     return {
@@ -93,7 +102,7 @@ def _render_bounds(result, out):
 
 
 def _run_factors(args, warnings):
-    q = Form.from_text(args.form)
+    q = _form(args)
     pair = sm_factors(q)
     lat = lattice_from_form(q)
     result = {
@@ -139,7 +148,7 @@ def _render_factors(result, out):
 
 
 def _run_equation(args, warnings):
-    q = Form.from_text(args.form)
+    q = _form(args)
     prec = dps_to_prec(args.precision)
     model = kummer_equation(q, prec) if args.kummer else inose_pencil(q, prec)
     if not (isinstance(model.A, Fraction) and isinstance(model.B, Fraction)):

@@ -33,20 +33,24 @@ from .forms import (
     Form,
     _compose_triples,
     check_discriminant,
+    check_form,
     compose,
     form_sort_key,
     power,
     principal_form,
 )
 
-# Entries per discriminant cache.  A long-lived process must not grow without
-# bound, yet the cache should never evict on the traffic it serves: every
-# surface question about the 9348 reduced forms with |d| <= 2000 fills 1000
-# entries per cache, and 6000 Zipf-distributed queries over them (the
-# perfbench session workload, seed 101) fill 870.  The same constant bounds
-# k3's two caches: its pencil values per form, at most 1024 (A, B) pairs,
-# about 1.2 MB at 428 bits, and its j(O_d) per discriminant, at most 1024
-# values, half that.
+# Entries per cache, so that a long-lived process does not grow without bound.
+# The limit counts entries, not bytes.  The caches keyed by d hold every
+# discriminant of the 9348 reduced forms with |d| <= 2000 (there are 1000),
+# so surface questions about those forms never make them evict.  The same
+# constant bounds k3's two caches.  Its j(O_d) per (d, precision) has the same
+# 1000 keys there, but its pencil values are per (form, precision) and do
+# evict: 15000 queries of the perfbench session workload (seed 1) ask about
+# 3603 distinct forms and miss that cache 5031 times, so 1428 pencils are
+# evaluated again.  An entry grows with the precision: 1024 (A, B) pairs
+# take about 1.2 MB at 428 bits and 17 MB at 32000 bits, and 1024 j(O_d)
+# values half that.
 _CACHE_SIZE = 1024
 
 # Size limits, set so that the slowest accepted input takes well under 45 s:
@@ -332,7 +336,7 @@ def _on_boundary(form: tuple[int, int, int]) -> bool:
 def is_two_torsion(f: Form) -> bool:
     """Reduced-form 2-torsion test: the class is its own inverse iff one of
     the reduction inequalities is an equality (b = 0, a = b, or a = c)."""
-    if not f.is_reduced():
+    if not check_form(f).is_reduced():
         raise NotReduced(f"{f} is not reduced")
     return _on_boundary((f.a, f.b, f.c))
 
@@ -431,7 +435,7 @@ def genus_characters(f: Form) -> tuple[int, ...]:
     lie in the same genus iff their vectors agree, and genus_partition groups
     Cl(d) by these vectors.  f need not be reduced.
     """
-    if not f.is_primitive():
+    if not check_form(f).is_primitive():
         raise ImprimitiveInput("genus characters require a primitive form")
     d = f.discriminant()
     return _characters(f, d, sorted(p for p in factorize(-d) if p != 2))

@@ -42,7 +42,7 @@ from .errors import (
     ParseError,
     SingK3Error,
 )
-from .forms import form_sort_key
+from .forms import form_sort_key, integer
 
 SCHEMA_VERSION = "5"
 
@@ -66,10 +66,20 @@ class _Parser(argparse.ArgumentParser):
         # one line, like the errors a verb reports
         self.exit(2, f"{self.prog}: error: {message}\n")
 
+    def _parse_optional(self, arg_string):
+        # argparse's hook (3.10 to 3.13 alike) that decides whether a token is
+        # an option.  No option starts with a digit, so a token such as -23_0 or
+        # -1,0,-1 is a value, which argparse takes only for plain negative
+        # numbers, and a bad one gets the error line of its argument.
+        if arg_string[:1] == "-" and arg_string[1:2].isdigit():
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def positive_int(text: str) -> int:
-    # argparse reports a ValueError as "invalid positive_int value: ..."
-    value = int(text)
+    # argparse reports a ValueError, a ParseError among them, as
+    # "invalid positive_int value: ..."
+    value = integer(text)
     if value < 1:
         raise ValueError(text)
     return value
@@ -91,7 +101,7 @@ def precision_digits(text: str) -> int:
 
 def scan_bound(text: str) -> int:
     # scan_one_class_per_genus needs bound >= 4; argparse reports the ValueError
-    value = int(text)
+    value = integer(text)
     if value < 4:
         raise ValueError(text)
     return value
@@ -134,10 +144,10 @@ def _build_parser() -> _Parser:
         )
 
     p = sub.add_parser("classgroup", help="reduced forms and structure of Cl(d)")
-    p.add_argument("d", type=int)
+    p.add_argument("d", type=integer)
 
     p = sub.add_parser("genus", help="genus partition and characters of Cl(d)")
-    p.add_argument("d", type=int)
+    p.add_argument("d", type=integer)
 
     p = sub.add_parser("bounds", help="field-of-definition bounds for a form")
     p.add_argument("--form", required=True, metavar="a,b,c")
@@ -154,7 +164,7 @@ def _build_parser() -> _Parser:
     add_precision(p)
 
     p = sub.add_parser("classpoly", help="ring class polynomial of d")
-    p.add_argument("d", type=int)
+    p.add_argument("d", type=integer)
 
     p = sub.add_parser("scan", help="one-class-per-genus discriminant scan")
     p.add_argument("--bound", type=scan_bound)

@@ -41,8 +41,8 @@ class InconsistentPair(SingK3Error):
     """(discriminant, degree of primitivity) pair is arithmetically impossible."""
 
 
-class ParseError(SingK3Error):
-    """Malformed textual input."""
+class ParseError(SingK3Error, ValueError):
+    """Malformed textual input; a ValueError, as int() raises on bad text."""
 
 
 class InputTooLarge(SingK3Error):

@@ -15,6 +15,11 @@ reduction.  The discriminants handled here are desk-scale, so no NUCOMP.
 compose checks its inputs and runs _compose_triples, the unchecked core on
 plain (a, b, c) triples, which the class-group decomposition calls directly
 on forms it already knows to be reduced, primitive and of one discriminant.
+
+All text input, on the command line and in Form.from_text and from_json,
+becomes an int through one reader, integer, and the public functions that
+read a form's methods refuse anything but a Form through one check,
+check_form.
 """
 
 from __future__ import annotations
@@ -32,7 +37,19 @@ from .errors import (
     ParseError,
 )
 
-_FORM_RE = re.compile(r"\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\Z")
+# what int() reads, minus non-ASCII digits and whitespace and the _ separator
+_INTEGER_RE = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def integer(text: str) -> int:
+    """The int that text spells: ASCII digits, an optional sign, and ASCII
+    whitespace around them; anything else raises ParseError."""
+    if _INTEGER_RE.fullmatch(text) is None:
+        raise ParseError(f"expected a decimal integer, got {text!r}")
+    try:
+        return int(text)
+    except ValueError as exc:  # over the interpreter's digit limit
+        raise ParseError(str(exc)) from None
 
 
 def check_discriminant(d: int) -> int:
@@ -42,6 +59,17 @@ def check_discriminant(d: int) -> int:
     if d % 4 not in (0, 1):
         raise InvalidDiscriminant(f"{d} is not 0 or 1 mod 4")
     return d
+
+
+def check_form(f: object) -> Form:
+    """Validate that f is a Form; returns f.
+
+    A plain tuple (a, b, c) hashes and compares equal to its Form, so a cache
+    behind a public function would otherwise answer it with a Form's value.
+    """
+    if not isinstance(f, Form):
+        raise TypeError(f"expected a Form, got {type(f).__name__}")
+    return f
 
 
 class Form(tuple):
@@ -136,15 +164,11 @@ class Form(tuple):
 
     @classmethod
     def from_text(cls, text: str) -> Form:
-        """Parse the canonical "a,b,c" serialization."""
-        m = _FORM_RE.match(text)
-        if m is None:
+        """Parse the canonical "a,b,c" serialization, each coefficient as integer reads it."""
+        coeffs = text.split(",")
+        if len(coeffs) != 3:
             raise ParseError(f"expected 'a,b,c' integers, got {text!r}")
-        try:
-            a, b, c = map(int, m.groups())
-        except ValueError as exc:  # a coefficient over the interpreter's digit limit
-            raise ParseError(f"bad form coefficient: {exc}") from exc
-        return cls(a, b, c)
+        return cls(*map(integer, coeffs))
 
     def as_json(self) -> dict[str, str]:
         # decimal strings so that consumers with 64-bit ints survive
@@ -153,9 +177,12 @@ class Form(tuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> Form:
+        """Read as_json's object; a coefficient may also be a JSON integer, not a boolean."""
         try:
             coeffs = obj["a"], obj["b"], obj["c"]
-            return cls(*(int(v) if isinstance(v, str) else v for v in coeffs))
+            if not all(type(v) in (str, int) for v in coeffs):
+                raise TypeError("coefficients are decimal strings or integers")
+            return cls(*(integer(v) if type(v) is str else v for v in coeffs))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad form object {obj!r}") from exc
 
@@ -222,7 +249,7 @@ def compose(f1: Form, f2: Form) -> Form:
 
 def power(f: Form, k: int) -> Form:
     """k-fold composition; k = 0 gives the principal form, k < 0 uses inverses."""
-    if not f.is_primitive():
+    if not check_form(f).is_primitive():
         raise ImprimitiveInput("power requires a primitive form")
     if k < 0:
         f, k = f.inverse(), -k

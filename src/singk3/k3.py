@@ -48,7 +48,7 @@ from .classgroup import (
     is_two_torsion,
 )
 from .errors import InconsistentPair
-from .forms import Form, check_discriminant, principal_form
+from .forms import Form, check_discriminant, check_form, principal_form
 from .lattices import TauPair, sm_factors
 from .modular import _GUARD_BITS, DEFAULT_PRECISION_BITS, _check_j_range, _check_precision
 from .modular import class_polynomial, j_of_form
@@ -71,7 +71,7 @@ class SurfaceClass(
 
 
 def surface_class(q: Form) -> SurfaceClass:
-    d = q.discriminant()
+    d = check_form(q).discriminant()
     _check_j_range(d)  # before any factorization: the surface layer needs j at d
     m = q.content()
     d_prime = q.primitive_part().discriminant()
@@ -108,7 +108,7 @@ def genus_of_transcendental_lattice(q: Form) -> frozenset[Form]:
     principal genus through the primitive part.  This is exactly the set of
     Galois-conjugate transcendental lattices.  For primitive q it is the
     cached coset of genus_partition, not a copy."""
-    qp = q.primitive_part().reduced()
+    qp = check_form(q).primitive_part().reduced()
     m = q.content()
     coset = genus_partition(qp.discriminant()).coset_of(qp)
     return coset if m == 1 else frozenset(f.scaled(m) for f in coset)
@@ -162,7 +162,7 @@ def lem_bounds_applies(d: int, m: int) -> bool:
 def kummer_reduction(q: Form) -> tuple[Form, TauPair] | None:
     """If q is 2-divisible, the half form and CM points (tau1, tau2/2) whose
     elliptic product has Kummer surface realizing q; None otherwise."""
-    if q.content() % 2:
+    if check_form(q).content() % 2:
         return None
     half = Form(q.a // 2, q.b // 2, q.c // 2)
     pair = sm_factors(q)
@@ -309,7 +309,7 @@ def inose_pencil(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> Weier
     that is not an integer >= 1 raises ValueError.
     """
     _check_precision(precision_bits)
-    A, B, degenerate = _pencil_values(q, precision_bits)
+    A, B, degenerate = _pencil_values(check_form(q), precision_bits)
     return WeierstrassModel("inose_pencil", A, B, degenerate, precision_bits)
 
 
@@ -320,5 +320,5 @@ def kummer_equation(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> We
     that is not an integer >= 1 raises ValueError.
     """
     _check_precision(precision_bits)
-    A, B, degenerate = _pencil_values(q, precision_bits)
+    A, B, degenerate = _pencil_values(check_form(q), precision_bits)
     return WeierstrassModel("kummer", A, B, degenerate, precision_bits)

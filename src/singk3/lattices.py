@@ -27,7 +27,7 @@ from math import gcd, lcm
 
 from .classgroup import fundamental_data, reduced_primitive_forms
 from .errors import FieldMismatch
-from .forms import Form, _reduced, compose
+from .forms import Form, _reduced, check_form, compose
 
 Rational = int | Fraction
 
@@ -180,7 +180,7 @@ class TauPair(namedtuple("TauPair", "tau1 tau2 discriminant")):
 
 def tau_from_form(f: Form) -> QuadElement:
     """tau = (-b + sqrt(d))/(2a) as an exact element of Q(sqrt(d_K))."""
-    d = f.discriminant()
+    d = check_form(f).discriminant()
     fd = fundamental_data(d)
     two_a = 2 * f.a
     return QuadElement(
@@ -195,7 +195,7 @@ def sm_factors(q: Form) -> TauPair:
     transcendental lattice has intersection form q; tau2 spans the order of
     conductor f, so only tau1 moves within the class group.
     """
-    d = q.discriminant()
+    d = check_form(q).discriminant()
     fd = fundamental_data(d)
     tau2 = QuadElement(fd.field_discriminant, Fraction(q.b, 2), Fraction(fd.conductor, 2))
     return TauPair(tau_from_form(q), tau2, d)
@@ -270,7 +270,7 @@ def shioda_mitani_check(l1: QuadLattice, l2: QuadLattice, q: Form) -> bool:
     the conductor product must equal f*f' (conductors of q and of its
     primitive part).
     """
-    d = q.discriminant()
+    d = check_form(q).discriminant()
     fd = fundamental_data(d)
     if not (l1.field_discriminant == l2.field_discriminant == fd.field_discriminant):
         raise FieldMismatch("lattices and form live in different fields")

@@ -37,7 +37,7 @@ from math import ceil, exp, isqrt, log, log2, pi, sqrt
 
 from .classgroup import is_two_torsion, reduced_primitive_forms
 from .errors import InputTooLarge, PrecisionExhausted
-from .forms import Form
+from .forms import Form, check_form
 
 DEFAULT_PRECISION_BITS = 428  # ~128 decimal digits
 _GUARD_BITS = 32
@@ -131,7 +131,7 @@ def j_of_form(f: Form, precision_bits: int = DEFAULT_PRECISION_BITS):
     from mpmath import mp, mpf
 
     _check_precision(precision_bits)
-    r = f.primitive_part().reduced()
+    r = check_form(f).primitive_part().reduced()
     d = r.discriminant()
     _check_j_range(d)
     if d == -3:

@@ -294,6 +294,73 @@ def assert_usage_error(capsys, argv) -> str:
     return err
 
 
+# text that int() reads and the one integer reader refuses
+NOT_DECIMAL = (
+    "２３",  # full-width digits
+    "٢٣",  # Arabic-Indic digits
+    "2_3",  # a _ separator
+    "9" * 5000,  # past int()'s default limit of 4300 digits
+)
+
+
+def number_inputs(text):
+    # (argv, environment) for every number the command line reads, set to text
+    for verb in ("classgroup", "genus", "classpoly"):
+        yield [verb, f"-{text}"], {}
+    for verb in ("bounds", "factors", "equation"):
+        yield [verb, "--form", f"2,1,{text}"], {}
+        yield [verb, "--form", f"{text},1,3"], {}
+    yield ["scan", "--bound", text], {}
+    for verb in ("bounds", "equation"):
+        yield [verb, "--form", "2,1,3", "--precision", text], {}
+        yield [verb, "--form", "2,1,3"], {"SINGK3_PRECISION": text}
+    yield ["scan"], {"SINGK3_BOUND": text}
+
+
+def test_every_verb_and_variable_refuses_what_int_alone_would_read(capsys, monkeypatch):
+    for text in NOT_DECIMAL:
+        for argv, env in number_inputs(text):
+            monkeypatch.delenv("SINGK3_PRECISION", raising=False)
+            monkeypatch.delenv("SINGK3_BOUND", raising=False)
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            err = assert_usage_error(capsys, argv)
+            assert "argument " in err, (argv, env, err[:200])
+
+
+PADDED = (
+    (["classgroup", " -23 "], ["classgroup", "-23"]),
+    (["genus", " -56 "], ["genus", "-56"]),
+    (["classpoly", "\t-23 "], ["classpoly", "-23"]),
+    (["bounds", "--form", " 2, 1 ,3 "], ["bounds", "--form", "2,1,3"]),
+    (["factors", "--form", " 2, 1 ,3 "], ["factors", "--form", "2,1,3"]),
+    (["equation", "--form", " 2, 1 ,3 "], ["equation", "--form", "2,1,3"]),
+    (["equation", "--form", "+2,+1,+3", "--precision", " +30 "],
+     ["equation", "--form", "2,1,3", "--precision", "30"]),
+    (["scan", "--bound", "+1000"], ["scan", "--bound", "1000"]),
+)
+
+
+def test_padded_ascii_input_keeps_its_output(capsys):
+    for padded, plain in PADDED:
+        outputs = []
+        for argv in (padded, plain):
+            assert cli.run(argv) == 0, argv
+            text = capsys.readouterr().out
+            outputs.append((text, run_json(capsys, argv)["result"]))
+        assert outputs[0] == outputs[1], padded
+
+
+def test_values_that_start_with_a_minus_get_their_arguments_error_line(capsys):
+    err = assert_usage_error(capsys, ["classgroup", "-23_0"])
+    assert "argument d: " in err and "'-23_0'" in err
+    for argv in (["equation", "--form", "-1,0,-1"], ["equation", "--form=-1,0,-1"]):
+        err = assert_usage_error(capsys, argv)
+        assert "argument --form: " in err and "(-1,0,-1)" in err
+    err = assert_usage_error(capsys, ["bounds", "--form", "2,1,3", "--precision", "-1_0"])
+    assert "argument --precision: " in err and "'-1_0'" in err
+
+
 def test_precision_must_be_positive(capsys):
     assert_usage_error(capsys, ["equation", "--form", "2,1,3", "--precision", "-5"])
     assert_usage_error(capsys, ["equation", "--form", "2,1,3", "--precision", "0"])

@@ -11,7 +11,7 @@ from singk3.errors import (
     NotPositiveDefinite,
     ParseError,
 )
-from singk3.forms import Form, compose, power, principal_form
+from singk3.forms import Form, compose, integer, power, principal_form
 
 from oracles import apply_word, random_form, random_primitive_form, random_unimodular_word, sl2_reduced_equivalent
 
@@ -232,8 +232,32 @@ def test_integer_types_become_int():
     assert all(type(x) is int for x in f)
 
 
+# text that int() reads but the one integer reader refuses: non-ASCII digits
+# and whitespace, the _ separator, and more digits than int()'s default limit
+NOT_DECIMAL = ("２３", "٢٣", "2_3", "\u00a023", "9" * 5000)
+
+
+def test_integer_reads_ascii_decimal_text_only():
+    for text, value in (("23", 23), (" -23 ", -23), ("+1000", 1000), ("\t7\n", 7), ("-0", 0)):
+        assert integer(text) == value and type(integer(text)) is int
+    for text in NOT_DECIMAL + ("", "-", "+-1", "1.0", "1e3", "0x10", "1 2"):
+        with pytest.raises(ParseError):
+            integer(text)
+    assert issubclass(ParseError, ValueError)  # argparse reports it as a bad value
+
+
+def test_text_and_json_refuse_what_integer_refuses():
+    assert Form.from_text(" 2, 1 ,3 ") == Form.from_text("+2,+1,3") == Form(2, 1, 3)
+    for text in NOT_DECIMAL:
+        for coeffs in ((text, "1", "3"), ("2", text, "3"), ("2", "1", text)):
+            with pytest.raises(ParseError):
+                Form.from_text(",".join(coeffs))
+            with pytest.raises(ParseError):
+                Form.from_json(dict(zip("abc", coeffs)))
+
+
 def test_json_refuses_non_integral_coefficients():
-    for value in (1.7, 2.0, None, [2]):
+    for value in (1.7, 2.0, None, [2], True, False):
         with pytest.raises(ParseError):
             Form.from_json({"a": value, "b": 1, "c": 3})
     assert Form.from_json({"a": 2, "b": "1", "c": 3}) == Form(2, 1, 3)

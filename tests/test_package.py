@@ -78,3 +78,54 @@ def test_cli_module_runs_as_a_script():
 
 def test_an_unknown_name_is_an_attribute_error():
     assert not hasattr(singk3, "no_such_name")
+
+
+def form_entries():
+    # every public function that reads a form's methods, as a call on the form
+    from singk3 import Form, lattice_from_form, power, shioda_mitani_check
+
+    lattice = lattice_from_form(Form(2, 1, 3))
+    names = (
+        "analyze", "inose_pencil", "kummer_equation", "surface_class", "kummer_reduction",
+        "genus_of_transcendental_lattice", "sm_factors", "tau_from_form", "lattice_from_form",
+        "j_of_form", "is_two_torsion", "genus_characters",
+    )
+    entries = {name: getattr(singk3, name) for name in names}
+    entries["power"] = lambda q: power(q, 2)
+    entries["shioda_mitani_check"] = lambda q: shioda_mitani_check(lattice, lattice, q)
+    return entries
+
+
+def test_public_form_functions_refuse_a_plain_tuple():
+    for name, call in form_entries().items():
+        call(singk3.Form(2, 1, 3))
+        try:
+            call((2, 1, 3))  # after the Form call, so any cache holds its key
+        except TypeError as exc:
+            assert str(exc) == "expected a Form, got tuple", name
+        else:
+            raise AssertionError(f"{name} answered a tuple")
+
+
+def test_the_pencil_refuses_a_tuple_in_either_cache_order():
+    # cold first: no Form call has filled a cache when each tuple call runs
+    code = (
+        "from singk3 import Form, analyze, inose_pencil, kummer_equation\n"
+        "calls = (analyze, inose_pencil, kummer_equation)\n"
+        "def refused(call):\n"
+        "    try:\n"
+        "        call((2, 1, 3))\n"
+        "    except TypeError:\n"
+        "        return True\n"
+        "    return False\n"
+        "cold = [refused(c) for c in calls]\n"
+        "for c in calls:\n"
+        "    c(Form(2, 1, 3))\n"
+        "print(cold, [refused(c) for c in calls])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[True, True, True] [True, True, True]"
