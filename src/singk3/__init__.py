@@ -35,6 +35,7 @@ _LAZY = {
     "FieldMismatch": "errors",
     "ImprimitiveInput": "errors",
     "InconsistentPair": "errors",
+    "InputError": "errors",
     "InputTooLarge": "errors",
     "InvalidDiscriminant": "errors",
     "MismatchedDiscriminant": "errors",

@@ -1,22 +1,20 @@
 """The bounds, factors and equation verbs of the command line.
 
 singk3.cli imports this module only when one of these verbs runs, so the
-class group verbs and classpoly neither compile it nor load mpmath and the
-numeric layers.
+class group verbs and classpoly neither compile it nor load the k3 and
+lattices layers.  It imports nothing from singk3.cli, and no mpmath: values
+are printed and digits turned into bits by singk3.modular's helpers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from mpmath import mp
-from mpmath.libmp import dps_to_prec
-
-from .cli import _USAGE_ERRORS, _form_str
-from .errors import ParseError
-from .forms import Form
+from .errors import InputError, ParseError
+from .forms import Form, _form_str
 from .k3 import analyze, inose_pencil, kummer_equation, kummer_reduction
 from .lattices import lattice_from_form, sm_factors
+from .modular import _digit_strings, _digits_to_bits
 
 
 def _value_json(v, digits: int) -> dict:
@@ -25,7 +23,7 @@ def _value_json(v, digits: int) -> dict:
     # part of a real value, or j at d = -3) prints as 0.0, with fewer digits
     if isinstance(v, Fraction):
         return {"type": "rational", "value": str(v)}
-    re, im = (mp.nstr(x, digits, strip_zeros=False) for x in (mp.re(v), mp.im(v)))
+    re, im = _digit_strings(v, digits)
     return {"type": "complex", "re": re, "im": im}
 
 
@@ -54,13 +52,13 @@ def _form(args) -> Form:
     # the --form value; a bad one is a usage error whose line names the option
     try:
         return Form.from_text(args.form)
-    except _USAGE_ERRORS as exc:
+    except InputError as exc:
         raise ParseError(f"argument --form: {exc}") from None
 
 
 def _run_bounds(args, warnings):
     q = _form(args)
-    report = analyze(q, dps_to_prec(args.precision))
+    report = analyze(q, _digits_to_bits(args.precision))
     sc = report.surface
     return {
         "form": q.as_json(),
@@ -149,7 +147,7 @@ def _render_factors(result, out):
 
 def _run_equation(args, warnings):
     q = _form(args)
-    prec = dps_to_prec(args.precision)
+    prec = _digits_to_bits(args.precision)
     model = kummer_equation(q, prec) if args.kummer else inose_pencil(q, prec)
     if not (isinstance(model.A, Fraction) and isinstance(model.B, Fraction)):
         warnings.append(

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
 from itertools import compress, starmap
 from math import gcd, isqrt, prod
 
+from ._cache import cached
 from ._factor import factorize, squarefree_decomposition
 from .errors import ImprimitiveInput, InputTooLarge, NotReduced
 from .forms import (
@@ -39,19 +39,6 @@ from .forms import (
     power,
     principal_form,
 )
-
-# Entries per cache, so that a long-lived process does not grow without bound.
-# The limit counts entries, not bytes.  The caches keyed by d hold every
-# discriminant of the 9348 reduced forms with |d| <= 2000 (there are 1000),
-# so surface questions about those forms never make them evict.  The same
-# constant bounds k3's two caches.  Its j(O_d) per (d, precision) has the same
-# 1000 keys there, but its pencil values are per (form, precision) and do
-# evict: 15000 queries of the perfbench session workload (seed 1) ask about
-# 3603 distinct forms and miss that cache 5031 times, so 1428 pencils are
-# evaluated again.  An entry grows with the precision: 1024 (A, B) pairs
-# take about 1.2 MB at 428 bits and 17 MB at 32000 bits, and 1024 j(O_d)
-# values half that.
-_CACHE_SIZE = 1024
 
 # Size limits, set so that the slowest accepted input takes well under 45 s:
 # near |d| = 10^10, h reaches 236606 and `genus d --json` takes 9 s (260 MB);
@@ -167,7 +154,7 @@ def iter_reduced_primitive_forms(d: int) -> Iterator[tuple[int, int, int]]:
                 yield a, b, c
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@cached
 def reduced_primitive_forms(d: int) -> tuple[Form, ...]:
     """Cl(d) as its reduced primitive forms, sorted; |d| above 10^10 raises InputTooLarge."""
     return tuple(sorted(starmap(Form, iter_reduced_primitive_forms(d)), key=form_sort_key))
@@ -270,7 +257,7 @@ def _decompose(elements: tuple[Form, ...], identity: Form) -> tuple[tuple[Form, 
     return tuple(gens)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@cached
 def class_group(d: int) -> ClassGroup:
     """Enumerate Cl(d) and determine its decomposition into cyclic factors."""
     elements = reduced_primitive_forms(d)
@@ -304,7 +291,7 @@ class GenusPartition(namedtuple("GenusPartition", "cosets principal_genus")):
         raise KeyError(f"{f} not in this class group")
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@cached
 def genus_partition(d: int) -> GenusPartition:
     """Cl(d) grouped by assigned character vector, genera in the order of their first class.
 
@@ -385,7 +372,7 @@ class FundamentalData(namedtuple("FundamentalData", "field_discriminant conducto
     __slots__ = ()
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@cached
 def fundamental_data(d: int) -> FundamentalData:
     check_discriminant(d)
     core, s = squarefree_decomposition(-d)

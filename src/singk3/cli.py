@@ -6,21 +6,23 @@ Every verb supports --json, which wraps the payload in a stable envelope
 environment variables with the SINGK3_ prefix (SINGK3_PRECISION,
 SINGK3_BOUND, SINGK3_JSON, SINGK3_KUMMER).  They are read when a command runs,
 for the options its command line leaves out, so the parser is built once per
-process and a typed flag wins.  fractions, mpmath and the k3,
-lattices and modular layers are imported inside the verbs that use them, so
-classgroup, genus and scan start without them; bounds, factors and equation
-are in _numeric_verbs, which only they import.
+process and a typed flag wins; an unset SINGK3_PRECISION gives the digits of
+modular's default precision.  fractions and the k3, lattices and modular
+layers are imported inside the verbs that use them, so classgroup, genus and
+scan start without them; bounds, factors and equation are in _numeric_verbs,
+which only they import.  Only modular imports mpmath, when it computes or
+prints a value, so factors and classpoly run without it.
 
 Exit codes: 0 success, 1 stdout closed before all output was written (e.g.
 piped into `head`; reported without a traceback), 2 usage error (a bad
 SINGK3_* value names its variable; an input over a size limit names the
-limit), 3 computation error.
+limit; every InputError), 3 computation error.  An error line quotes a long
+bad value only by its start.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -34,25 +36,11 @@ from .classgroup import (
     genus_partition,
     scan_one_class_per_genus,
 )
-from .errors import (
-    InputTooLarge,
-    InvalidDiscriminant,
-    NotNegativeDiscriminant,
-    NotPositiveDefinite,
-    ParseError,
-    SingK3Error,
-)
-from .forms import form_sort_key, integer
+from ._cache import cached
+from .errors import InputError, SingK3Error
+from .forms import _form_str, _shown, form_sort_key, integer
 
 SCHEMA_VERSION = "5"
-
-_USAGE_ERRORS = (
-    ParseError,
-    NotPositiveDefinite,
-    NotNegativeDiscriminant,
-    InvalidDiscriminant,
-    InputTooLarge,
-)
 
 _SCAN_CAVEAT = (
     "the scan bound is a search cutoff, not a completeness proof: classically "
@@ -75,6 +63,20 @@ class _Parser(argparse.ArgumentParser):
             return None
         return super()._parse_optional(arg_string)
 
+    def _get_value(self, action, arg_string):
+        # argparse's hook (3.10 to 3.13 alike) that applies an argument's type.
+        # Its line for a bad value quotes the whole value; this one quotes only
+        # the start of a long one.
+        if action.type is None:
+            return arg_string
+        try:
+            return action.type(arg_string)
+        except argparse.ArgumentTypeError as exc:
+            message = str(exc)
+        except ValueError:
+            message = f"invalid {action.type.__name__} value: {_shown(arg_string)}"
+        raise argparse.ArgumentError(action, message)
+
 
 def positive_int(text: str) -> int:
     # argparse reports a ValueError, a ParseError among them, as
@@ -85,17 +87,18 @@ def positive_int(text: str) -> int:
     return value
 
 
-def precision_digits(text: str) -> int:
-    # a positive digit count whose bits the numeric layer accepts
-    from mpmath.libmp import dps_to_prec, prec_to_dps
+def precision_digits(text: str | None) -> int:
+    # a positive digit count whose bits the numeric layer accepts; None, for
+    # SINGK3_PRECISION unset, gives the digits of the library's default
+    from .modular import _DEFAULT_DIGITS, _MAX_PRECISION_BITS, _bits_to_digits
 
-    from .modular import _MAX_PRECISION_BITS
-
+    if text is None:
+        return _DEFAULT_DIGITS
     value = positive_int(text)
-    if dps_to_prec(value) > _MAX_PRECISION_BITS:
-        raise argparse.ArgumentTypeError(
-            f"precision is limited to {prec_to_dps(_MAX_PRECISION_BITS)} digits, got {value}"
-        )
+    limit = _bits_to_digits(_MAX_PRECISION_BITS)  # the most digits whose bits are accepted
+    if value > limit:
+        got = value if value.bit_length() < 64 else _shown(text)
+        raise argparse.ArgumentTypeError(f"precision is limited to {limit} digits, got {got}")
     return value
 
 
@@ -115,14 +118,14 @@ def _env_flag(text: str) -> bool:
 # when the variable is unset); read when a command runs, for each of these
 # options that the command line leaves out
 _ENV_DEFAULTS = {
-    "precision": ("SINGK3_PRECISION", precision_digits, "128"),
+    "precision": ("SINGK3_PRECISION", precision_digits, None),
     "bound": ("SINGK3_BOUND", scan_bound, "10000"),
     "json": ("SINGK3_JSON", _env_flag, ""),
     "kummer": ("SINGK3_KUMMER", _env_flag, ""),
 }
 
 
-@functools.cache
+@cached
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="singk3",
@@ -184,7 +187,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         try:
             value = convert(unset if text is None else text)
         except ValueError:
-            message = f"invalid {convert.__name__} value {text!r}"
+            message = f"invalid {convert.__name__} value {_shown(text)}"
         except argparse.ArgumentTypeError as exc:
             message = str(exc)
         else:
@@ -197,10 +200,6 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def _form_list(forms) -> list[dict]:
     return [f.as_json() for f in sorted(forms, key=form_sort_key)]
-
-
-def _form_str(f: dict) -> str:
-    return f"({f['a']},{f['b']},{f['c']})"
 
 
 def _run_classgroup(args, warnings):
@@ -329,7 +328,7 @@ def run(argv: list[str], out=None) -> int:
     warnings: list[str] = []
     try:
         result = compute(args, warnings)
-    except _USAGE_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SingK3Error, ValueError) as exc:

@@ -5,15 +5,19 @@ class SingK3Error(Exception):
     """Base class for all errors raised by singk3."""
 
 
-class NotPositiveDefinite(SingK3Error):
+class InputError(SingK3Error):
+    """The input is at fault, not the computation: the command line exits 2."""
+
+
+class NotPositiveDefinite(InputError):
     """Form coefficients do not define a positive definite form."""
 
 
-class NotNegativeDiscriminant(SingK3Error):
+class NotNegativeDiscriminant(InputError):
     """Discriminant is >= 0 (only imaginary quadratic arithmetic is supported)."""
 
 
-class InvalidDiscriminant(SingK3Error):
+class InvalidDiscriminant(InputError):
     """Integer is not a discriminant (d < 0 and d = 0, 1 mod 4)."""
 
 
@@ -41,9 +45,9 @@ class InconsistentPair(SingK3Error):
     """(discriminant, degree of primitivity) pair is arithmetically impossible."""
 
 
-class ParseError(SingK3Error, ValueError):
+class ParseError(InputError, ValueError):
     """Malformed textual input; a ValueError, as int() raises on bad text."""
 
 
-class InputTooLarge(SingK3Error):
+class InputTooLarge(InputError):
     """Input exceeds the size a computation accepts (the message names the limit)."""

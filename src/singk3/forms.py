@@ -19,12 +19,14 @@ on forms it already knows to be reduced, primitive and of one discriminant.
 All text input, on the command line and in Form.from_text and from_json,
 becomes an int through one reader, integer, and the public functions that
 read a form's methods refuse anything but a Form through one check,
-check_form.
+check_form.  An error message quotes a bad text through _shown, which keeps
+the line short however long the text.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from math import gcd
 from operator import index, itemgetter
 
@@ -38,18 +40,35 @@ from .errors import (
 )
 
 # what int() reads, minus non-ASCII digits and whitespace and the _ separator
-_INTEGER_RE = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+_INTEGER_RE = re.compile(r"\s*[+-]?([0-9]+)\s*", re.ASCII)
+# int()'s default limit on the digits it reads, kept on every interpreter
+_MAX_DIGITS = 4300
+# the characters of a bad text that an error message quotes
+_SHOWN_CHARS = 40
+
+
+def _shown(text: str) -> str:
+    # text quoted for a one-line error message; a long one only by its start
+    if len(text) <= _SHOWN_CHARS:
+        return repr(text)
+    return f"{text[:_SHOWN_CHARS]!r}... ({len(text)} characters)"
 
 
 def integer(text: str) -> int:
-    """The int that text spells: ASCII digits, an optional sign, and ASCII
-    whitespace around them; anything else raises ParseError."""
-    if _INTEGER_RE.fullmatch(text) is None:
-        raise ParseError(f"expected a decimal integer, got {text!r}")
+    """The int that text spells: ASCII digits, at most 4300 of them, an
+    optional sign, and ASCII whitespace around them; anything else raises
+    ParseError."""
+    match = _INTEGER_RE.fullmatch(text)
+    if match is None:
+        raise ParseError(f"expected a decimal integer, got {_shown(text)}")
+    digits = len(match[1])
+    if digits > _MAX_DIGITS:
+        raise ParseError(f"integers are limited to {_MAX_DIGITS} digits, got {digits}")
     try:
         return int(text)
-    except ValueError as exc:  # over the interpreter's digit limit
-        raise ParseError(str(exc)) from None
+    except ValueError:  # a lower limit set for this interpreter
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"integers are limited to {limit} digits, got {digits}") from None
 
 
 def check_discriminant(d: int) -> int:
@@ -77,8 +96,8 @@ class Form(tuple):
 
     A Form is the tuple (a, b, c) of ints (a float raises TypeError), validated
     when built: it unpacks, hashes, compares equal to (a, b, c) and orders as
-    that tuple.  f * g and f ** k are composition and powers; tuple + and
-    integer repetition stay tuple operations.
+    that tuple.  f * g and f ** k are composition and powers, f and g Forms;
+    tuple + and integer repetition stay tuple operations.
     """
 
     __slots__ = ()
@@ -156,8 +175,10 @@ class Form(tuple):
             a * q * q + b * q * s + c * s * s,
         )
 
-    def __mul__(self, other: Form) -> Form:
-        return compose(self, other)
+    def __mul__(self, other):
+        if isinstance(other, Form):
+            return compose(self, other)
+        return tuple.__mul__(self, other)
 
     def __pow__(self, k: int) -> Form:
         return power(self, k)
@@ -167,7 +188,7 @@ class Form(tuple):
         """Parse the canonical "a,b,c" serialization, each coefficient as integer reads it."""
         coeffs = text.split(",")
         if len(coeffs) != 3:
-            raise ParseError(f"expected 'a,b,c' integers, got {text!r}")
+            raise ParseError(f"expected 'a,b,c' integers, got {_shown(text)}")
         return cls(*map(integer, coeffs))
 
     def as_json(self) -> dict[str, str]:
@@ -201,6 +222,11 @@ def form_sort_key(f: Form) -> tuple[int, int, bool, int]:
     """Deterministic display order: identity first, +b before -b."""
     a, b, c = f
     return (a, abs(b), b < 0, c)
+
+
+def _form_str(obj: dict) -> str:
+    # as_json's object as the command line prints a form, "(a,b,c)"
+    return f"({obj['a']},{obj['b']},{obj['c']})"
 
 
 def principal_form(d: int) -> Form:

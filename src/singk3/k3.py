@@ -26,21 +26,20 @@ non-degenerate; whether A or B vanishes is decided exactly from the
 discriminants (A = 0 iff d or d' is -3, B = 0 iff d or d' is -4).
 Otherwise A and B are exact only where the class group proves them rational
 (Bilu, Luca, Pizarro-Madariaga 2016): h(d) = 1, or h(d) = 2 with Q primitive
-and not principal.  Every other value is numeric.
+and not principal.  Every other value is numeric, an mpmath complex number
+(mpc) from singk3.modular.  k3 leaves mpmath to modular and combines these
+values through modular's helpers, which name the precision on each operation.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
 
-from mpmath import mp, mpc
-
+from ._cache import cached
 from ._factor import factorize
 from .classgroup import (
-    _CACHE_SIZE,
     class_number,
     classes_per_genus,
     fundamental_data,
@@ -50,10 +49,8 @@ from .classgroup import (
 from .errors import InconsistentPair
 from .forms import Form, check_discriminant, check_form, principal_form
 from .lattices import TauPair, sm_factors
-from .modular import _GUARD_BITS, DEFAULT_PRECISION_BITS, _check_j_range, _check_precision
-from .modular import class_polynomial, j_of_form
-
-Value = Fraction | mpc  # exact when proven rational, arbitrary-precision complex otherwise
+from .modular import DEFAULT_PRECISION_BITS, _check_j_range, _check_precision, _div_at, _mul_at
+from .modular import _sub_at, class_polynomial, j_of_form
 
 
 class SurfaceClass(
@@ -189,25 +186,24 @@ def analyze(q: Form, precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundsRepo
     return BoundsReport(sc, n, h_upper, parity_forced, exact, j1, j2)
 
 
-def _normalized_j(f: Form, precision_bits: int) -> mpc:
-    # j_n = j/1728, so j_n(i) = 1, divided with j_of_form's guard bits: at
-    # precision_bits (or mpmath's 53-bit default) the last digits are lost.
-    return mp.fdiv(j_of_form(f, precision_bits), 1728, prec=precision_bits + _GUARD_BITS)
+def _normalized_j(f: Form, precision_bits: int):
+    # j_n = j/1728, so j_n(i) = 1
+    return _div_at(j_of_form(f, precision_bits), 1728, precision_bits)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _principal_j(d: int, precision_bits: int) -> mpc:
+@cached
+def _principal_j(d: int, precision_bits: int):
     # j_n(tau2): tau2 spans O_d, whose class is the principal form of d
     return _normalized_j(principal_form(d), precision_bits)
 
 
-def _normalized_j_pair(q: Form, precision_bits: int) -> tuple[mpc, mpc]:
+def _normalized_j_pair(q: Form, precision_bits: int) -> tuple:
     # j_n(tau1), j_n(tau2)
     j1 = _normalized_j(q.primitive_part(), precision_bits)
     return j1, _principal_j(q.discriminant(), precision_bits)
 
 
-def _is_zero(v: Value) -> bool:
+def _is_zero(v) -> bool:
     return isinstance(v, Fraction) and v == 0
 
 
@@ -220,19 +216,19 @@ class WeierstrassModel(
     __slots__ = ()
 
     def _mul(self, u, v):
-        # exact on rationals; otherwise rounded at the model's precision plus guard bits
+        # exact on rationals; otherwise rounded at the model's precision
         if isinstance(u, (int, Fraction)) and isinstance(v, (int, Fraction)):
             return Fraction(u) * Fraction(v)
-        return mp.fmul(u, v, prec=self.precision_bits + _GUARD_BITS)
+        return _mul_at(u, v, self.precision_bits)
 
-    def a4_polynomial(self) -> dict[int, Value]:
+    def a4_polynomial(self) -> dict:
         A, B, mul = self.A, self.B, self._mul
         if _is_zero(A):
             return {}
         coeff = mul(-3, A) if _is_zero(B) else mul(-3, mul(A, B))
         return {4: coeff}
 
-    def a6_polynomial(self) -> dict[int, Value]:
+    def a6_polynomial(self) -> dict:
         A, B, mul = self.A, self.B, self._mul
         top, mid, low = (7, 6, 5) if self.kind == "inose_pencil" else (8, 6, 4)
         if _is_zero(B):
@@ -272,7 +268,7 @@ def _fmt(v: Fraction) -> str:
     return f"({v})*"
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@cached
 def _pencil_values(q: Form, precision_bits: int):
     sc = surface_class(q)
     a_zero = sc.primitive_discriminant == -3 or sc.discriminant == -3
@@ -281,9 +277,8 @@ def _pencil_values(q: Form, precision_bits: int):
     values = _rational_pencil_values(sc)
     if values is None:
         j1, j2 = _normalized_j_pair(q, precision_bits)
-        wp = precision_bits + _GUARD_BITS
-        one_minus = (mp.fsub(1, j, prec=wp) for j in (j1, j2))
-        values = mp.fmul(j1, j2, prec=wp), mp.fmul(*one_minus, prec=wp)
+        one_minus = (_sub_at(1, j, precision_bits) for j in (j1, j2))
+        values = _mul_at(j1, j2, precision_bits), _mul_at(*one_minus, precision_bits)
     A, B = values
     return (Fraction(0) if a_zero else A), (Fraction(0) if b_zero else B), a_zero or b_zero
 

@@ -20,26 +20,52 @@ when an explicit bound on its error proves the rounding (the certificate above
 _approximate_coefficients), which one pass at the precision of an a-priori
 height bound always meets; a pass that does not raises PrecisionExhausted.
 
+This module is the one owner of how numeric values are represented.  mpmath
+is imported here alone, inside the functions that compute, combine or print a
+value, so importing singk3 loads it only when a value is computed.  The
+surface layer in k3 and the command line reach it through the private helpers
+below: arithmetic at a model's precision, with the guard bits added inside
+(_mul_at, _sub_at, _div_at), the digit strings of a value (_digit_strings)
+and decimal digits <-> bits (_digits_to_bits, _bits_to_digits).
+DEFAULT_PRECISION_BITS is the bits of the command line's default digits.
+
 The values returned are immutable and safe to share between threads.
 class_polynomial works on integers alone and never touches mpmath, so it may
 run in any thread.  j_of_form sets mpmath's process-wide working precision
-(mp.workprec).  The surface layer in k3 names its precision on each operation
-and never sets it, but analyze, inose_pencil and kummer_equation call
-j_of_form; so no two of these may run in two threads of one process at once.
-Separate processes are fine.
+(mp.workprec); the helpers name their precision on each operation and never
+set it.  analyze, inose_pencil and kummer_equation call j_of_form, so no two
+of these may run in two threads of one process at once.  Separate processes
+are fine.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from math import ceil, exp, isqrt, log, log2, pi, sqrt
 
+from ._cache import cached
 from .classgroup import is_two_torsion, reduced_primitive_forms
 from .errors import InputTooLarge, PrecisionExhausted
 from .forms import Form, check_form
 
-DEFAULT_PRECISION_BITS = 428  # ~128 decimal digits
+# log2(10) as mpmath.libmp rounds it, so that the conversions below give the
+# bits and digits that mpmath's dps_to_prec and prec_to_dps give
+_BITS_PER_DIGIT = 3.3219280948873626
+
+
+def _digits_to_bits(digits: int) -> int:
+    # the working precision, in bits, that carries `digits` significant digits
+    return max(1, round((digits + 1) * _BITS_PER_DIGIT))
+
+
+def _bits_to_digits(bits: int) -> int:
+    # the significant digits that `bits` bits of working precision carry
+    return max(1, round(bits / _BITS_PER_DIGIT) - 1)
+
+
+# the command line's default --precision, and its bits the library's default
+_DEFAULT_DIGITS = 128
+DEFAULT_PRECISION_BITS = _digits_to_bits(_DEFAULT_DIGITS)  # 429
 _GUARD_BITS = 32
 # class_polynomial refuses larger |d|; the slowest d below it (h = 234-242)
 # takes about 10 s (see CHANGES.md for the measurement)
@@ -140,6 +166,37 @@ def j_of_form(f: Form, precision_bits: int = DEFAULT_PRECISION_BITS):
         tau = mp.mpc(mpf(-r.b), mp.sqrt(-d)) / (2 * r.a)
         j = +_j_in_fundamental_domain(tau)
         return mp.mpc(j.real) if is_two_torsion(r) else j
+
+
+def _mul_at(u, v, precision_bits: int):
+    # u * v rounded at precision_bits plus the guard bits: at precision_bits
+    # alone (or mpmath's 53-bit default) the last digits would be lost
+    from mpmath import mp
+
+    return mp.fmul(u, v, prec=precision_bits + _GUARD_BITS)
+
+
+def _sub_at(u, v, precision_bits: int):
+    # u - v, rounded like _mul_at
+    from mpmath import mp
+
+    return mp.fsub(u, v, prec=precision_bits + _GUARD_BITS)
+
+
+def _div_at(u, v, precision_bits: int):
+    # u / v, rounded like _mul_at
+    from mpmath import mp
+
+    return mp.fdiv(u, v, prec=precision_bits + _GUARD_BITS)
+
+
+def _digit_strings(v, digits: int) -> tuple[str, str]:
+    # the real and imaginary parts of v to `digits` significant digits, trailing
+    # zeros kept; an exact zero prints as 0.0
+    from mpmath import mp
+
+    re, im = (mp.nstr(x, digits, strip_zeros=False) for x in (mp.re(v), mp.im(v)))
+    return re, im
 
 
 def _height_precision_bits(d: int) -> int:
@@ -290,7 +347,7 @@ def _check_precision(bits: int) -> None:
 # 13. Dropping to wp + 32 bits floors each part, below 2^(-wp-31.5).
 # The sum is below 2^-26 delta (1 + |j|).  QED.
 
-@lru_cache(maxsize=4)
+@cached
 def _machin_pi(bits: int) -> int:
     # pi = 16 arctan(1/5) - 4 arctan(1/239) at `bits` bits, to 1.05 units (step 1)
     guard = bits.bit_length() + 8

@@ -5,7 +5,7 @@ from math import gcd, prod
 
 import pytest
 
-from singk3 import classgroup, cli, forms
+from singk3 import _cache, classgroup, cli, forms
 from singk3.classgroup import (
     class_group,
     class_number,
@@ -195,15 +195,13 @@ def test_elements_only_callers_do_not_decompose(monkeypatch):
     monkeypatch.setattr(classgroup, "_decompose", refuse)
     # h and n; -1049892 has Cl = Z/134 x Z/2, so n = #Cl^2 = 67
     for d, h, n in ((-56, 4, 2), (-1049892, 268, 67)):
-        classgroup.reduced_primitive_forms.cache_clear()
-        genus_partition.cache_clear()
+        _cache.clear()
         out = io.StringIO()
         assert cli.run(["genus", str(d), "--json"], out=out) == 0
         assert json.loads(out.getvalue())["result"]["n"] == n
-        classgroup.reduced_primitive_forms.cache_clear()
-        genus_partition.cache_clear()
+        _cache.clear()
         assert (classes_per_genus(d), class_number(d)) == (n, h)
-        genus_partition.cache_clear()
+        _cache.clear()
         part = genus_partition(d)
         assert (len(part.principal_genus), part.genus_count) == (n, h // n)
 

@@ -294,19 +294,22 @@ def assert_usage_error(capsys, argv) -> str:
     return err
 
 
-# text that int() reads and the one integer reader refuses
+# text that int() reads and the one integer reader refuses, and text too long
+# to quote whole in an error line
 NOT_DECIMAL = (
     "２３",  # full-width digits
     "٢٣",  # Arabic-Indic digits
     "2_3",  # a _ separator
     "9" * 5000,  # past int()'s default limit of 4300 digits
+    "x" * 5000,
 )
 
 
 def number_inputs(text):
     # (argv, environment) for every number the command line reads, set to text
     for verb in ("classgroup", "genus", "classpoly"):
-        yield [verb, f"-{text}"], {}
+        # -text is an option to argparse unless a digit follows the minus or it follows --
+        yield [verb, *([] if text[:1].isdigit() else ["--"]), f"-{text}"], {}
     for verb in ("bounds", "factors", "equation"):
         yield [verb, "--form", f"2,1,{text}"], {}
         yield [verb, "--form", f"{text},1,3"], {}
@@ -326,6 +329,7 @@ def test_every_verb_and_variable_refuses_what_int_alone_would_read(capsys, monke
                 monkeypatch.setenv(name, value)
             err = assert_usage_error(capsys, argv)
             assert "argument " in err, (argv, env, err[:200])
+            assert len(err) < 200 and "set_int_max_str_digits" not in err, (argv, env, err[:200])
 
 
 PADDED = (
@@ -453,15 +457,17 @@ NUMERIC_LAYERS = (
 INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
-def modules_left_loaded(argv, modules=NUMERIC_LAYERS, flags=()) -> str:
-    # which of `modules` a fresh interpreter, started with `flags`, holds after the command
+def modules_left_loaded(argv, modules=NUMERIC_LAYERS, flags=(), imports=()) -> str:
+    # which of `modules` a fresh interpreter, started with `flags`, holds after
+    # importing `imports` and running the command argv (None: no command)
+    command = "" if argv is None else "from singk3.cli import run; run(sys.argv[1:]); "
     code = (
-        "import sys; from singk3.cli import run; run(sys.argv[1:]); "
+        f"import {', '.join(('sys', *imports))}; {command}"
         f"print(sorted(m for m in {modules!r} if m in sys.modules), file=sys.stderr)"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, *flags, "-c", code, *argv],
+        [sys.executable, *flags, "-c", code, *(argv or ())],
         env=env, capture_output=True, text=True, timeout=60,
     )
     return proc.stderr.strip().splitlines()[-1]
@@ -474,6 +480,15 @@ def test_class_group_verbs_load_no_numeric_layer():
 
 def test_classpoly_loads_neither_k3_nor_lattices():
     assert modules_left_loaded(["classpoly", "-23"]) == "['singk3.modular']"
+
+
+def test_only_a_computed_value_loads_mpmath():
+    # modular imports mpmath when it computes or prints a value, and no other
+    # module imports it: factors and the surface layer's import run without it
+    factors = modules_left_loaded(["factors", "--form", "4,0,4", "--kummer"])
+    assert factors == "['singk3._numeric_verbs', 'singk3.k3', 'singk3.lattices', 'singk3.modular']"
+    assert modules_left_loaded(None, ("mpmath",), imports=("singk3.k3",)) == "[]"
+    assert modules_left_loaded(["bounds", "--form", "1,1,1"], ("mpmath",)) == "['mpmath']"
 
 
 COLD_VERBS = (
@@ -600,6 +615,60 @@ def test_a_typed_flag_beats_its_variable(capsys, monkeypatch):
     assert "kummer" in run_json(capsys, ["factors", "--form", "4,0,4", "--kummer"])["result"]
     monkeypatch.setenv("SINGK3_JSON", "0")
     run_json(capsys, ["classgroup", "-23"])  # run_json types --json
+
+
+def test_one_default_precision(capsys, monkeypatch):
+    from mpmath.libmp import dps_to_prec
+
+    from singk3 import _numeric_verbs
+    from singk3.k3 import analyze
+
+    digits = modular._DEFAULT_DIGITS
+    assert modular.DEFAULT_PRECISION_BITS == dps_to_prec(128) == dps_to_prec(digits) == 429
+    assert cli.run(["bounds", "--help"]) == 0
+    assert f"(default {digits})" in " ".join(capsys.readouterr().out.split())
+    # an unset --precision computes at the library's default bits ...
+    bits = []
+    monkeypatch.delenv("SINGK3_PRECISION", raising=False)
+    monkeypatch.setattr(_numeric_verbs, "analyze", lambda q, b: bits.append(b) or analyze(q, b))
+    for q in (Form(2, 1, 3), Form(4, 0, 4), Form(3, 2, 7)):
+        env = run_json(capsys, ["bounds", "--form", str(q)])
+        assert env["command"]["arguments"]["precision"] == digits
+        # ... so the library's default report prints as the command's
+        report = analyze(q)
+        assert env["result"]["model_field"] == {
+            "j_tau1_normalized": _numeric_verbs._value_json(report.j_tau1_normalized, digits),
+            "j_tau2_normalized": _numeric_verbs._value_json(report.j_tau2_normalized, digits),
+        }, q
+    assert bits == [modular.DEFAULT_PRECISION_BITS] * 3
+
+
+def test_digits_and_bits_convert_as_mpmath_does():
+    from mpmath.libmp import dps_to_prec, prec_to_dps
+
+    limit = modular._bits_to_digits(modular._MAX_PRECISION_BITS)
+    assert all(modular._digits_to_bits(n) == dps_to_prec(n) for n in range(1, limit + 2))
+    assert all(
+        modular._bits_to_digits(n) == prec_to_dps(n)
+        for n in range(1, modular._MAX_PRECISION_BITS + 2)
+    )
+
+
+def test_usage_errors_share_one_base_class(capsys, monkeypatch):
+    from singk3 import errors
+
+    usage = {"ParseError", "NotPositiveDefinite", "NotNegativeDiscriminant",
+             "InvalidDiscriminant", "InputTooLarge"}
+    for name, value in vars(errors).items():
+        if isinstance(value, type) and issubclass(value, errors.SingK3Error):
+            assert issubclass(value, errors.InputError) == (name in usage | {"InputError"}), name
+
+    def boom(d):  # the command line exits 2 on the base class itself
+        raise errors.InputError("bad input")
+
+    monkeypatch.setattr(cli, "class_group", boom)
+    assert cli.run(["classgroup", "-23"]) == 2
+    assert capsys.readouterr().err == "error: bad input\n"
 
 
 def test_version_flag(capsys):

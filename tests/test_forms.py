@@ -303,6 +303,17 @@ def test_form_is_a_tuple():
     assert f * f == Form(2, -1, 3) and f**3 == Form(1, 1, 6)  # composition, not repetition
 
 
+def test_integer_repetition_stays_a_tuple_operation():
+    f = Form(2, 1, 3)
+    assert f * 2 == 2 * f == (2, 1, 3, 2, 1, 3)
+    assert type(f * 2) is tuple and f * 0 == ()
+    # only a Form composes: a plain tuple is no form, and a tuple times a tuple is an error
+    with pytest.raises(TypeError):
+        f * (2, 1, 3)
+    with pytest.raises(TypeError):
+        (2, 1, 3) * f
+
+
 def test_pickle_round_trip():
     import copy
     import pickle

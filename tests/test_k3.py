@@ -6,7 +6,8 @@ import pytest
 from mpmath import mp
 
 import singk3.k3 as k3
-from singk3.classgroup import _CACHE_SIZE, class_group, classes_per_genus
+from singk3 import _cache
+from singk3.classgroup import class_group, classes_per_genus
 from singk3.errors import InconsistentPair, InputTooLarge
 from singk3.forms import Form, principal_form
 from singk3.k3 import (
@@ -430,9 +431,7 @@ def _j_calls(monkeypatch) -> list[Form]:
         return j_of_form(f, precision_bits)
 
     monkeypatch.setattr(k3, "j_of_form", counting)
-    for value in vars(k3).values():
-        if hasattr(value, "cache_clear") and value.__module__ == k3.__name__:
-            value.cache_clear()
+    _cache.clear()
     return calls
 
 
@@ -460,10 +459,10 @@ def test_j_of_the_order_is_evaluated_once_per_discriminant(monkeypatch):
 
 def test_pencil_cache_is_bounded_and_checks_every_precision():
     # more distinct forms than the cache holds, at a low precision to stay fast
-    forms = [Form(1, 1, c) for c in range(1, _CACHE_SIZE + 100)]
+    forms = [Form(1, 1, c) for c in range(1, _cache.SIZE + 100)]
     for q in forms:
         inose_pencil(q, 64)
-    assert k3._pencil_values.cache_info().currsize <= _CACHE_SIZE
+    assert k3._pencil_values.cache_info().currsize <= _cache.SIZE
     # a cached 64 or 1 bits must not answer 64.0 or True past the check
     inose_pencil(forms[-1], 1)
     for bits in (64.0, True):

@@ -129,3 +129,30 @@ def test_the_pencil_refuses_a_tuple_in_either_cache_order():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[True, True, True] [True, True, True]"
+
+
+def test_every_cache_is_in_the_one_registry():
+    import pkgutil
+
+    from singk3 import _cache
+
+    registered = {id(c) for c in _cache._CACHES}
+    found = []
+    for info in pkgutil.iter_modules(singk3.__path__):
+        module = importlib.import_module(f"singk3.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                found.append(f"{info.name}.{name}")
+                assert id(value) in registered, f"{info.name}.{name} is not registered"
+    # and every registered cache is one of them
+    assert len(found) == len(registered), found
+
+
+def test_clear_empties_every_cache():
+    from singk3 import _cache, analyze, class_polynomial
+
+    analyze(singk3.Form(2, 1, 3), 64)
+    class_polynomial(-23)
+    assert any(c.cache_info().currsize for c in _cache._CACHES)
+    _cache.clear()
+    assert all(c.cache_info().currsize == 0 for c in _cache._CACHES)
