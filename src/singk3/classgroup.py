@@ -32,6 +32,7 @@ from .errors import ImprimitiveInput, InputTooLarge, NotReduced
 from .forms import (
     Form,
     _compose_triples,
+    _shown_form,
     check_discriminant,
     check_form,
     compose,
@@ -288,7 +289,7 @@ class GenusPartition(namedtuple("GenusPartition", "cosets principal_genus")):
         for coset in self.cosets:
             if f in coset:
                 return coset
-        raise KeyError(f"{f} not in this class group")
+        raise KeyError(f"{_shown_form(f)} not in this class group")
 
 
 @cached
@@ -324,7 +325,7 @@ def is_two_torsion(f: Form) -> bool:
     """Reduced-form 2-torsion test: the class is its own inverse iff one of
     the reduction inequalities is an equality (b = 0, a = b, or a = c)."""
     if not check_form(f).is_reduced():
-        raise NotReduced(f"{f} is not reduced")
+        raise NotReduced(f"{_shown_form(f)} is not reduced")
     return _on_boundary((f.a, f.b, f.c))
 
 

@@ -19,8 +19,8 @@ on forms it already knows to be reduced, primitive and of one discriminant.
 All text input, on the command line and in Form.from_text and from_json,
 becomes an int through one reader, integer, and the public functions that
 read a form's methods refuse anything but a Form through one check,
-check_form.  An error message quotes a bad text through _shown, which keeps
-the line short however long the text.
+check_form.  An error message quotes a bad text through _shown and an integer
+through _shown_int, which keep the line short however long the value.
 """
 
 from __future__ import annotations
@@ -43,8 +43,10 @@ from .errors import (
 _INTEGER_RE = re.compile(r"\s*[+-]?([0-9]+)\s*", re.ASCII)
 # int()'s default limit on the digits it reads, kept on every interpreter
 _MAX_DIGITS = 4300
-# the characters of a bad text that an error message quotes
+# an error message quotes a bad text or an integer longer than this by its
+# start alone, for an integer its first _SHOWN_DIGITS digits
 _SHOWN_CHARS = 40
+_SHOWN_DIGITS = 20
 
 
 def _shown(text: str) -> str:
@@ -52,6 +54,24 @@ def _shown(text: str) -> str:
     if len(text) <= _SHOWN_CHARS:
         return repr(text)
     return f"{text[:_SHOWN_CHARS]!r}... ({len(text)} characters)"
+
+
+def _shown_int(n: int) -> str:
+    # n quoted for a one-line error message; a long one only by its first
+    # digits and its length, and one past the interpreter's digit limit, which
+    # str() refuses, by its bit length
+    try:
+        text = str(n)
+    except ValueError:
+        return f"<{'negative ' if n < 0 else ''}{n.bit_length()}-bit integer>"
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return f"{text[: _SHOWN_DIGITS + (n < 0)]}... ({len(text.lstrip('-'))} digits)"
+
+
+def _shown_form(f: tuple[int, int, int]) -> str:
+    # the coefficients of f quoted for a one-line error message, as "a,b,c"
+    return ",".join(map(_shown_int, f))
 
 
 def integer(text: str) -> int:
@@ -74,9 +94,9 @@ def integer(text: str) -> int:
 def check_discriminant(d: int) -> int:
     """Validate d < 0 and d = 0, 1 (mod 4); returns d."""
     if d >= 0:
-        raise NotNegativeDiscriminant(f"discriminant must be negative, got {d}")
+        raise NotNegativeDiscriminant(f"discriminant must be negative, got {_shown_int(d)}")
     if d % 4 not in (0, 1):
-        raise InvalidDiscriminant(f"{d} is not 0 or 1 mod 4")
+        raise InvalidDiscriminant(f"{_shown_int(d)} is not 0 or 1 mod 4")
     return d
 
 
@@ -105,9 +125,10 @@ class Form(tuple):
     def __new__(cls, a: int, b: int, c: int) -> Form:
         a, b, c = index(a), index(b), index(c)
         if a <= 0 or c <= 0:
-            raise NotPositiveDefinite(f"({a},{b},{c}) is not positive definite")
+            raise NotPositiveDefinite(f"({_shown_form((a, b, c))}) is not positive definite")
         if b * b - 4 * a * c >= 0:
-            raise NotNegativeDiscriminant(f"({a},{b},{c}) has non-negative discriminant")
+            shown = _shown_form((a, b, c))
+            raise NotNegativeDiscriminant(f"({shown}) has non-negative discriminant")
         return tuple.__new__(cls, (a, b, c))
 
     a = property(itemgetter(0))
@@ -205,7 +226,7 @@ class Form(tuple):
                 raise TypeError("coefficients are decimal strings or integers")
             return cls(*(integer(v) if type(v) is str else v for v in coeffs))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad form object {obj!r}") from exc
+            raise ParseError(f"bad form object ({type(exc).__name__}: {exc})") from exc
 
 
 def _reduced(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -267,7 +288,9 @@ def compose(f1: Form, f2: Form) -> Form:
     a2, b2, c2 = f2
     disc1, disc2 = b1 * b1 - 4 * a1 * c1, b2 * b2 - 4 * a2 * c2
     if disc1 != disc2:
-        raise MismatchedDiscriminant(f"discriminants differ: {disc1} vs {disc2}")
+        raise MismatchedDiscriminant(
+            f"discriminants differ: {_shown_int(disc1)} vs {_shown_int(disc2)}"
+        )
     if gcd(a1, b1, c1) != 1 or gcd(a2, b2, c2) != 1:
         raise ImprimitiveInput("composition requires primitive forms")
     return Form(*_compose_triples(f1, f2))

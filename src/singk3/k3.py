@@ -3,9 +3,9 @@
 Everything a form Q = (a, b, c) determines about the surface carrying it:
 the invariant package (content, conductors, CM field), the set of Galois
 conjugates of the transcendental lattice (a genus, rescaled by the content),
-divisibility and parity constraints on the degree of the field of definition,
-the cases where the minimal field is known exactly, and explicit Weierstrass
-models for the associated elliptic fibration and its Kummer base change.
+divisibility and parity constraints on the degree of the field of definition
+and where they meet, and explicit Weierstrass models for the associated
+elliptic fibration and its Kummer base change.
 
 The fibration coefficients are A = j_n(tau1) * j_n(tau2) and
 B = (1 - j_n(tau1)) * (1 - j_n(tau2)) in the normalization j_n(i) = 1:
@@ -22,8 +22,8 @@ discriminant d shares one value.  j_n(tau1) is evaluated per call.
 
 When A*B = 0 these specialize via the substitute-one rule (the zero slot of
 the twisting substitution is replaced by 1), which keeps the fibration
-non-degenerate; whether A or B vanishes is decided exactly from the
-discriminants (A = 0 iff d or d' is -3, B = 0 iff d or d' is -4).
+non-degenerate; whether A or B vanishes is decided exactly from d' alone
+(A = 0 iff d' = -3, B = 0 iff d' = -4; d = -3 or -4 forces m = 1).
 Otherwise A and B are exact only where the class group proves them rational
 (Bilu, Luca, Pizarro-Madariaga 2016): h(d) = 1, or h(d) = 2 with Q primitive
 and not principal.  Every other value is numeric, an mpmath complex number
@@ -38,16 +38,16 @@ from fractions import Fraction
 from math import prod
 
 from ._cache import cached
-from ._factor import factorize
 from .classgroup import (
     class_number,
     classes_per_genus,
     fundamental_data,
+    genus_characters,
     genus_partition,
     is_two_torsion,
 )
 from .errors import InconsistentPair
-from .forms import Form, check_discriminant, check_form, principal_form
+from .forms import Form, _shown_int, check_discriminant, check_form, principal_form
 from .lattices import TauPair, sm_factors
 from .modular import DEFAULT_PRECISION_BITS, _check_j_range, _check_precision, _div_at, _mul_at
 from .modular import _sub_at, class_polynomial, j_of_form
@@ -71,13 +71,9 @@ def surface_class(q: Form) -> SurfaceClass:
     d = check_form(q).discriminant()
     _check_j_range(d)  # before any factorization: the surface layer needs j at d
     m = q.content()
-    d_prime = q.primitive_part().discriminant()
-    fd = fundamental_data(d)
-    fd_prime = fundamental_data(d_prime)
-    assert fd.field_discriminant == fd_prime.field_discriminant
-    f, f_prime = fd.conductor, fd_prime.conductor
-    assert f * f_prime == m * f_prime * f_prime
-    return SurfaceClass(q, d, d_prime, m, f, f_prime, fd.field_discriminant)
+    d_prime = d // (m * m)
+    fd = fundamental_data(d_prime)  # d = m^2 f'^2 d_K, so f = m f'
+    return SurfaceClass(q, d, d_prime, m, m * fd.conductor, fd.conductor, fd.field_discriminant)
 
 
 class BoundsReport(
@@ -92,9 +88,9 @@ class BoundsReport(
     classes_per_genus divides the degree over the CM field; that degree in
     turn divides class_number_upper (the explicit model lives inside the ring
     class field).  parity_forced means the degree over Q is even.  The exact
-    minimal field is reported only in the tabulated cases.  The explicit
-    model lives over Q(j(tau1), j(tau2)), inside K(j(tau2)); the two
-    normalized j-values generate that field.
+    minimal field is reported only where the bounds meet (lem_bounds_applies).
+    The explicit model lives over Q(j(tau1), j(tau2)), inside K(j(tau2)); the
+    two normalized j-values generate that field.
     """
 
     __slots__ = ()
@@ -111,49 +107,28 @@ def genus_of_transcendental_lattice(q: Form) -> frozenset[Form]:
     return coset if m == 1 else frozenset(f.scaled(m) for f in coset)
 
 
-def _odd_prime_power(n: int, modulus: int, residue: int) -> bool:
-    # n = p^r, p an odd prime with p = residue (mod modulus), r odd
-    if n < 3 or n % 2 == 0:
-        return False
-    items = list(factorize(n).items())
-    if len(items) != 1:
-        return False
-    p, r = items[0]
-    return r % 2 == 1 and p % modulus == residue
-
-
-def _minimal_field_table(d: int, m: int) -> bool:
-    if m == 1:
-        if d in (-4, -8, -16):
-            return True
-        if _odd_prime_power(-d, 4, 3):
-            return True
-        return d % 4 == 0 and _odd_prime_power(-d // 4, 4, 3)
-    if m == 2:
-        if d in (-12, -16):
-            return True
-        return d % 4 == 0 and _odd_prime_power(-d // 4, 8, 7)
-    if m == 3:
-        return d == -27
-    return False
-
-
 def lem_bounds_applies(d: int, m: int) -> bool:
-    """Whether (d, m) is a case with exactly known minimal field of definition.
+    """Whether the degree bounds meet for (d, m), giving the minimal field exactly.
 
-    True when (d, m) itself, or (d/4, m/2) via the Kummer route, lies in the
-    table whose rows are the discriminants with one class per genus and
-    conductor-stable class number.
+    The lower bound n(d') = h(d')/g(d') meets the upper bound h(d), or, for
+    even m, h(d/4) through the Kummer route.  Cl(d) maps onto Cl(d'), so
+    h(d) >= h(d') >= n(d'): they meet iff Cl(d') is one genus and the order of
+    conductor m (or m/2) over O_d' keeps h(d').  By the class number formula
+    (Cox, Primes of the Form x^2 + ny^2, Thm. 7.24) conductor k keeps it only
+    for k = 1, k = 2 with d' = 1 (mod 8) or d' in {-3, -4}, and k = 3 with
+    d' = -3.  So the answer takes one factorization of d', and no class group.
     """
     check_discriminant(d)
     if m < 1 or d % (m * m) != 0:
-        raise InconsistentPair(f"m={m} is not a degree of primitivity for d={d}")
+        raise InconsistentPair(
+            f"m={_shown_int(m)} is not a degree of primitivity for d={_shown_int(d)}"
+        )
     d_prime = d // (m * m)
     if d_prime % 4 not in (0, 1):
-        raise InconsistentPair(f"d/m^2 = {d_prime} is not a discriminant")
-    if _minimal_field_table(d, m):
-        return True
-    return m % 2 == 0 and _minimal_field_table(d // 4, m // 2)
+        raise InconsistentPair(f"d/m^2 = {_shown_int(d_prime)} is not a discriminant")
+    keeps_h = m <= 2 or (m == 4 and (d_prime % 8 == 1 or d_prime in (-3, -4)))
+    keeps_h = keeps_h or (m in (3, 6) and d_prime == -3)
+    return keeps_h and len(genus_characters(principal_form(d_prime))) == 1
 
 
 def kummer_reduction(q: Form) -> tuple[Form, TauPair] | None:
@@ -221,42 +196,39 @@ class WeierstrassModel(
             return Fraction(u) * Fraction(v)
         return _mul_at(u, v, self.precision_bits)
 
+    def _lead(self) -> tuple:
+        # A*B and its symbol, 1 put for a vanishing A or B (the substitute-one rule)
+        if _is_zero(self.B):
+            return self.A, "A"
+        if _is_zero(self.A):
+            return self.B, "B"
+        return self._mul(self.A, self.B), "A*B"
+
     def a4_polynomial(self) -> dict:
-        A, B, mul = self.A, self.B, self._mul
-        if _is_zero(A):
-            return {}
-        coeff = mul(-3, A) if _is_zero(B) else mul(-3, mul(A, B))
-        return {4: coeff}
+        return {} if _is_zero(self.A) else {4: self._mul(-3, self._lead()[0])}
 
     def a6_polynomial(self) -> dict:
-        A, B, mul = self.A, self.B, self._mul
         top, mid, low = (7, 6, 5) if self.kind == "inose_pencil" else (8, 6, 4)
-        if _is_zero(B):
-            return {top: A, low: A}
-        if _is_zero(A):
-            bb = mul(B, B)
-            return {top: bb, mid: mul(-2, bb), low: B}
-        ab = mul(A, B)
-        abb = mul(ab, B)
-        return {top: abb, mid: mul(-2, abb), low: ab}
+        lead = self._lead()[0]
+        if _is_zero(self.B):
+            return {top: lead, low: lead}
+        lead_b = self._mul(lead, self.B)
+        return {top: lead_b, mid: self._mul(-2, lead_b), low: lead}
 
     def equation(self) -> str:
         """Human-readable equation in the factored layout; exact rational
         coefficients are substituted, otherwise A and B stay symbolic."""
         inose = self.kind == "inose_pencil"
-        t_out = "t^5" if inose else "t^4"
-        u2, u1 = ("t^2", "t") if inose else ("t^4", "t^2")
+        t_out, u2, u1 = ("t^5", "t^2", "t") if inose else ("t^4", "t^4", "t^2")
         A, B = self.A, self.B
-        exact = isinstance(A, Fraction) and isinstance(B, Fraction)
-        if _is_zero(B):
-            f3, fo = (_fmt(3 * A), _fmt(A)) if exact else ("3*A*", "A*")
-            return f"y^2 = x^3 - {f3}t^4*x + {fo}{t_out}*({u2} + 1)"
-        fb, f2b = (_fmt(B), _fmt(2 * B)) if exact else ("B*", "2*B*")
-        inner = f"({fb}{u2} - {f2b}{u1} + 1)"
-        if _is_zero(A):
-            return f"y^2 = x^3 + {fb}{t_out}*{inner}"
-        f3, fo = (_fmt(3 * A * B), _fmt(A * B)) if exact else ("3*A*B*", "A*B*")
-        return f"y^2 = x^3 - {f3}t^4*x + {fo}{t_out}*{inner}"
+        lead, symbol = self._lead()
+        if isinstance(A, Fraction) and isinstance(B, Fraction):
+            f3, fo, fb, f2b = _fmt(3 * lead), _fmt(lead), _fmt(B), _fmt(2 * B)
+        else:
+            f3, fo, fb, f2b = f"3*{symbol}*", f"{symbol}*", "B*", "2*B*"
+        x_term = "" if _is_zero(A) else f" - {f3}t^4*x"
+        inner = f"({u2} + 1)" if _is_zero(B) else f"({fb}{u2} - {f2b}{u1} + 1)"
+        return f"y^2 = x^3{x_term} + {fo}{t_out}*{inner}"
 
 
 def _fmt(v: Fraction) -> str:
@@ -271,9 +243,8 @@ def _fmt(v: Fraction) -> str:
 @cached
 def _pencil_values(q: Form, precision_bits: int):
     sc = surface_class(q)
-    a_zero = sc.primitive_discriminant == -3 or sc.discriminant == -3
-    b_zero = sc.primitive_discriminant == -4 or sc.discriminant == -4
-    assert not (a_zero and b_zero)
+    a_zero = sc.primitive_discriminant == -3
+    b_zero = sc.primitive_discriminant == -4
     values = _rational_pencil_values(sc)
     if values is None:
         j1, j2 = _normalized_j_pair(q, precision_bits)

@@ -267,16 +267,15 @@ def shioda_mitani_check(l1: QuadLattice, l2: QuadLattice, q: Form) -> bool:
     """Decide whether E_{L1} x E_{L2} realizes the form q.
 
     Two conditions: the product lattice must be homothetic to Z + tau1*Z, and
-    the conductor product must equal f*f' (conductors of q and of its
-    primitive part).
+    the conductor product must equal f*f' = m*f'^2 (conductors of q and of its
+    primitive part, m the content of q).
     """
-    d = check_form(q).discriminant()
-    fd = fundamental_data(d)
+    qp = check_form(q).primitive_part()
+    fd = fundamental_data(qp.discriminant())
     if not (l1.field_discriminant == l2.field_discriminant == fd.field_discriminant):
         raise FieldMismatch("lattices and form live in different fields")
-    qp = q.primitive_part()
-    f_prime = fundamental_data(qp.discriminant()).conductor
-    if l1.conductor * l2.conductor != fd.conductor * f_prime:
+    f_prime = fd.conductor
+    if l1.conductor * l2.conductor != q.content() * f_prime * f_prime:
         return False
     # Z + tau1*Z is in the class of q's primitive part, with conductor f'
     form, f = _class(*_product(l1, l2))

@@ -46,7 +46,7 @@ from math import ceil, exp, isqrt, log, log2, pi, sqrt
 from ._cache import cached
 from .classgroup import is_two_torsion, reduced_primitive_forms
 from .errors import InputTooLarge, PrecisionExhausted
-from .forms import Form, check_form
+from .forms import Form, _shown_int, check_form
 
 # log2(10) as mpmath.libmp rounds it, so that the conversions below give the
 # bits and digits that mpmath's dps_to_prec and prec_to_dps give
@@ -226,16 +226,19 @@ _MAX_PRECISION_BITS = 32000
 
 
 def _check_j_range(d: int) -> None:
-    if -d > _MAX_J_ABS_D:  # a bit length, since str() of a huge d fails
-        raise InputTooLarge(f"j is proven only for |d| <= 10^6, got a {(-d).bit_length()}-bit |d|")
+    if -d > _MAX_J_ABS_D:
+        raise InputTooLarge(f"j is proven only for |d| <= 10^6, got d = {_shown_int(d)}")
 
 
 def _check_precision(bits: int) -> None:
     # below 1 bit mpmath loops forever or returns garbage, so refuse it as bad input
     if isinstance(bits, bool) or not isinstance(bits, int) or bits < 1:
-        raise ValueError(f"working precision must be an integer >= 1 bit, got {bits!r}")
+        shown = _shown_int(bits) if isinstance(bits, int) else repr(bits)
+        raise ValueError(f"working precision must be an integer >= 1 bit, got {shown}")
     if bits > _MAX_PRECISION_BITS:
-        raise InputTooLarge(f"working precision is limited to {_MAX_PRECISION_BITS} bits, got {bits}")
+        raise InputTooLarge(
+            f"working precision is limited to {_MAX_PRECISION_BITS} bits, got {_shown_int(bits)}"
+        )
 
 
 # Lemma (accuracy of j_of_form).  Let F be reduced with |d| <= 10^6, j = j(tau_F)
@@ -570,7 +573,8 @@ def class_polynomial(d: int) -> ClassPolynomial:
     """
     if abs(d) > _MAX_CLASSPOLY_ABS_D:
         raise InputTooLarge(
-            f"class polynomials are limited to |d| <= {_MAX_CLASSPOLY_ABS_D}, got d = {d}"
+            f"class polynomials are limited to |d| <= {_MAX_CLASSPOLY_ABS_D},"
+            f" got d = {_shown_int(d)}"
         )
     wp = _height_precision_bits(d)
     approx, err_log2 = _approximate_coefficients(d, wp)

@@ -332,6 +332,21 @@ def test_every_verb_and_variable_refuses_what_int_alone_would_read(capsys, monke
             assert len(err) < 200 and "set_int_max_str_digits" not in err, (argv, env, err[:200])
 
 
+LONG = "7" * 4000  # inside the 4300 digits that the integer reader takes
+
+
+def test_long_integers_in_error_lines_are_quoted_short(capsys):
+    for argv in (
+        ["classgroup", LONG],
+        ["classpoly", f"-{LONG}"],
+        ["bounds", "--form", f"-{LONG},1,1"],
+        ["factors", "--form", f"{LONG},{LONG},1"],
+        ["equation", "--form", f"1,{LONG},1"],
+    ):
+        err = assert_usage_error(capsys, argv)
+        assert len(err) < 200 and "(4000 digits)" in err, (argv[0], err[:200])
+
+
 PADDED = (
     (["classgroup", " -23 "], ["classgroup", "-23"]),
     (["genus", " -56 "], ["genus", "-56"]),

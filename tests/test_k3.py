@@ -1,13 +1,14 @@
 import random
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from mpmath import mp
 
 import singk3.k3 as k3
 from singk3 import _cache
-from singk3.classgroup import class_group, classes_per_genus
+from singk3.classgroup import class_group, class_number, classes_per_genus
 from singk3.errors import InconsistentPair, InputTooLarge
 from singk3.forms import Form, principal_form
 from singk3.k3 import (
@@ -113,7 +114,7 @@ def test_lem_bounds_table():
     assert lem_bounds_applies(-23, 1)
     assert lem_bounds_applies(-16, 2)
     assert not lem_bounds_applies(-56, 1)
-    # direct rows
+    # Cl(d') is one genus and the order of conductor m keeps h(d')
     assert lem_bounds_applies(-4, 1)
     assert lem_bounds_applies(-8, 1)
     assert lem_bounds_applies(-16, 1)
@@ -124,7 +125,7 @@ def test_lem_bounds_table():
     assert lem_bounds_applies(-12, 2)
     assert lem_bounds_applies(-28, 2)  # -4*7, 7 = 7 mod 8
     assert lem_bounds_applies(-27, 3)
-    # Kummer clause: (d/4, m/2) in the table
+    # the Kummer route: the order of conductor m/2 keeps h(d')
     assert lem_bounds_applies(-64, 2)  # (-16, 1)
     assert lem_bounds_applies(-48, 4)  # (-12, 2)
     assert lem_bounds_applies(-108, 6)  # (-27, 3)
@@ -132,8 +133,26 @@ def test_lem_bounds_table():
     assert not lem_bounds_applies(-96, 1)
 
 
+def test_lem_bounds_applies_exactly_where_the_degree_bounds_meet():
+    # every consistent (d, m) with |d| <= 20000: n(d') = h(d')/g(d') meets
+    # h(d), or h(d/4) through the Kummer route when m is even
+    pairs = 0
+    for d in range(-3, -20001, -1):
+        if d % 4 not in (0, 1):
+            continue
+        for m in range(1, isqrt(-d // 3) + 1):
+            d_prime, rest = divmod(d, m * m)
+            if rest or d_prime % 4 not in (0, 1):
+                continue
+            n = classes_per_genus(d_prime)
+            meet = n == class_number(d) or (m % 2 == 0 and n == class_number(d // 4))
+            assert lem_bounds_applies(d, m) == meet, (d, m)
+            pairs += 1
+    assert pairs == 16270
+
+
 def test_lem_bounds_minus_12():
-    # -12 = -4 * 3^1 with 3 = 3 mod 4, so the m = 1 row does apply
+    # Cl(-12) is one genus (one assigned character, at 3)
     assert lem_bounds_applies(-12, 1)
 
 
@@ -271,6 +290,41 @@ def test_generic_equation_is_symbolic_when_inexact():
     assert model.equation() == "y^2 = x^3 - 3*A*B*t^4*x + A*B*t^5*(B*t^2 - 2*B*t + 1)"
     k = kummer_equation(Form(2, 1, 3), 160)
     assert k.equation() == "y^2 = x^3 - 3*A*B*t^4*x + A*B*t^4*(B*t^4 - 2*B*t^2 + 1)"
+
+
+# every branch of the substitute-one rule, exact and numeric: B = 0 at d' = -4
+# ((1,0,1) exact, (3,0,3) numeric), A = 0 at d' = -3 ((3,3,3) exact, (4,4,4)
+# numeric) and the general layout ((2,1,2) exact, (1,1,6) numeric)
+PENCIL_LAYOUTS = (
+    ((1, 0, 1), inose_pencil, "y^2 = x^3 - 3*t^4*x + t^5*(t^2 + 1)", [4], [7, 5]),
+    ((1, 0, 1), kummer_equation, "y^2 = x^3 - 3*t^4*x + t^4*(t^4 + 1)", [4], [8, 4]),
+    ((3, 0, 3), inose_pencil, "y^2 = x^3 - 3*A*t^4*x + A*t^5*(t^2 + 1)", [4], [7, 5]),
+    ((3, 0, 3), kummer_equation, "y^2 = x^3 - 3*A*t^4*x + A*t^4*(t^4 + 1)", [4], [8, 4]),
+    ((3, 3, 3), inose_pencil,
+     "y^2 = x^3 + (64009/9)*t^5*((64009/9)*t^2 - (128018/9)*t + 1)", [], [7, 6, 5]),
+    ((3, 3, 3), kummer_equation,
+     "y^2 = x^3 + (64009/9)*t^4*((64009/9)*t^4 - (128018/9)*t^2 + 1)", [], [8, 6, 4]),
+    ((4, 4, 4), inose_pencil, "y^2 = x^3 + B*t^5*(B*t^2 - 2*B*t + 1)", [], [7, 6, 5]),
+    ((4, 4, 4), kummer_equation, "y^2 = x^3 + B*t^4*(B*t^4 - 2*B*t^2 + 1)", [], [8, 6, 4]),
+    ((2, 1, 2), inose_pencil,
+     "y^2 = x^3 - (-145006294125/16777216)*t^4*x + (-48335431375/16777216)*t^5*"
+     "((290521/4096)*t^2 - (290521/2048)*t + 1)", [4], [7, 6, 5]),
+    ((2, 1, 2), kummer_equation,
+     "y^2 = x^3 - (-145006294125/16777216)*t^4*x + (-48335431375/16777216)*t^4*"
+     "((290521/4096)*t^4 - (290521/2048)*t^2 + 1)", [4], [8, 6, 4]),
+    ((1, 1, 6), inose_pencil,
+     "y^2 = x^3 - 3*A*B*t^4*x + A*B*t^5*(B*t^2 - 2*B*t + 1)", [4], [7, 6, 5]),
+    ((1, 1, 6), kummer_equation,
+     "y^2 = x^3 - 3*A*B*t^4*x + A*B*t^4*(B*t^4 - 2*B*t^2 + 1)", [4], [8, 6, 4]),
+)
+
+
+def test_every_pencil_layout_is_frozen():
+    for coeffs, model_of, equation, a4_keys, a6_keys in PENCIL_LAYOUTS:
+        model = model_of(Form(*coeffs))
+        assert model.equation() == equation, (coeffs, model.kind)
+        assert list(model.a4_polynomial()) == a4_keys, (coeffs, model.kind)
+        assert list(model.a6_polynomial()) == a6_keys, (coeffs, model.kind)
 
 
 def _poly_sub_t_squared(poly: dict) -> dict:

@@ -107,6 +107,44 @@ def test_public_form_functions_refuse_a_plain_tuple():
             raise AssertionError(f"{name} answered a tuple")
 
 
+def huge_integer_entries():
+    # (call, the error class it documents), each on an integer of over 4300
+    # digits, which str() refuses; the error message must not try it
+    from singk3.classgroup import class_number, is_two_torsion
+    from singk3.errors import (
+        InconsistentPair,
+        InputTooLarge,
+        InvalidDiscriminant,
+        NotNegativeDiscriminant,
+        NotPositiveDefinite,
+        NotReduced,
+    )
+    from singk3.k3 import analyze, inose_pencil, kummer_equation, lem_bounds_applies
+    from singk3.modular import class_polynomial, j_of_form
+
+    huge = 10**5000
+    yield lambda: class_polynomial(huge), InputTooLarge
+    yield lambda: class_polynomial(-huge), InputTooLarge
+    yield lambda: singk3.Form(-huge, 1, 1), NotPositiveDefinite
+    yield lambda: singk3.Form(1, huge, 1), NotNegativeDiscriminant
+    for call in (j_of_form, analyze, inose_pencil, kummer_equation):
+        yield lambda call=call: call(singk3.Form(2, 1, 3), precision_bits=huge), InputTooLarge
+    yield lambda: class_number(-4 * huge - 1), InvalidDiscriminant
+    yield lambda: lem_bounds_applies(-4 * huge, 3), InconsistentPair
+    yield lambda: is_two_torsion(singk3.Form(huge, 1, 1)), NotReduced
+
+
+def test_huge_integers_raise_the_documented_error_on_one_short_line():
+    for call, error in huge_integer_entries():
+        try:
+            call()
+        except error as exc:
+            message = str(exc)
+            assert len(message) < 200 and "\n" not in message, message[:200]
+        else:
+            raise AssertionError(f"{error.__name__} not raised")
+
+
 def test_the_pencil_refuses_a_tuple_in_either_cache_order():
     # cold first: no Form call has filled a cache when each tuple call runs
     code = (
