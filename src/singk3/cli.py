@@ -7,11 +7,13 @@ environment variables with the SINGK3_ prefix (SINGK3_PRECISION,
 SINGK3_BOUND, SINGK3_JSON, SINGK3_KUMMER).  They are read when a command runs,
 for the options its command line leaves out, so the parser is built once per
 process and a typed flag wins; an unset SINGK3_PRECISION gives the digits of
-modular's default precision.  fractions and the k3, lattices and modular
-layers are imported inside the verbs that use them, so classgroup, genus and
-scan start without them; bounds, factors and equation are in _numeric_verbs,
-which only they import.  Only modular imports mpmath, when it computes or
-prints a value, so factors and classpoly run without it.
+modular's default precision.  Each verb's run function imports the layers
+it uses when it runs: classgroup, genus and scan the class group layer,
+classpoly modular, and bounds, factors and equation k3, lattices and modular.
+So --version and a usage error load no math layer, and classgroup, genus and
+scan load neither fractions nor k3, lattices and modular.  Only modular imports
+mpmath, when it computes or prints a value, so factors and classpoly run
+without it.
 
 Exit codes: 0 success, 1 stdout closed before all output was written (e.g.
 piped into `head`; reported without a traceback), 2 usage error (a bad
@@ -28,17 +30,9 @@ import os
 import sys
 
 from . import __version__
-from .classgroup import (
-    class_group,
-    class_number,
-    distinct_fields,
-    fundamental_data,
-    genus_partition,
-    scan_one_class_per_genus,
-)
 from ._cache import cached
-from .errors import InputError, SingK3Error
-from .forms import _form_str, _shown, form_sort_key, integer
+from .errors import InputError, ParseError, SingK3Error
+from .forms import Form, _shown, form_sort_key, integer
 
 SCHEMA_VERSION = "5"
 
@@ -202,7 +196,57 @@ def _form_list(forms) -> list[dict]:
     return [f.as_json() for f in sorted(forms, key=form_sort_key)]
 
 
+def _form_str(obj: dict) -> str:
+    # as_json's object as the command line prints a form, "(a,b,c)"
+    return f"({obj['a']},{obj['b']},{obj['c']})"
+
+
+def _form(args) -> Form:
+    # the --form value; a bad one is a usage error whose line names the option
+    try:
+        return Form.from_text(args.form)
+    except InputError as exc:
+        raise ParseError(f"argument --form: {exc}") from None
+
+
+def _value_json(v, digits: int) -> dict:
+    # `digits` significant digits, within one unit in the last (the tests check
+    # this against a rerun at twice the digits); an exact zero (the imaginary
+    # part of a real value, or j at d = -3) prints as 0.0, with fewer digits
+    from fractions import Fraction
+
+    from .modular import _digit_strings
+
+    if isinstance(v, Fraction):
+        return {"type": "rational", "value": str(v)}
+    re, im = _digit_strings(v, digits)
+    return {"type": "complex", "re": re, "im": im}
+
+
+def _value_str(v: dict) -> str:
+    if v["type"] == "rational":
+        return v["value"]
+    im = v["im"]
+    return f"{v['re']} - {im[1:]}*i" if im.startswith("-") else f"{v['re']} + {im}*i"
+
+
+def _tau_json(tau) -> dict:
+    return {
+        "d_K": tau.field_discriminant,
+        "x": [tau.x.numerator, tau.x.denominator],
+        "y": [tau.y.numerator, tau.y.denominator],
+    }
+
+
+def _quad_str(t: dict) -> str:
+    # x and y are a Fraction's numerator and denominator, printed as str(Fraction)
+    x, y = (f"{n}" if q == 1 else f"{n}/{q}" for n, q in (t["x"], t["y"]))
+    return f"({x} + {y}*sqrt({t['d_K']}))"
+
+
 def _run_classgroup(args, warnings):
+    from .classgroup import class_group
+
     g = class_group(args.d)
     return {
         "d": args.d,
@@ -223,6 +267,8 @@ def _render_classgroup(result, out):
 
 
 def _run_genus(args, warnings):
+    from .classgroup import class_number, genus_partition
+
     # the genera come from the elements alone, so Cl(d) is not decomposed
     part = genus_partition(args.d)
     return {
@@ -243,6 +289,133 @@ def _render_genus(result, out):
     for i, coset in enumerate(result["cosets"]):
         tag = "" if i else " (principal)"
         print(f"  genus {i}{tag}: {' '.join(map(_form_str, coset))}", file=out)
+
+
+def _run_bounds(args, warnings):
+    from .k3 import analyze
+    from .modular import _digits_to_bits
+
+    q = _form(args)
+    report = analyze(q, _digits_to_bits(args.precision))
+    sc = report.surface
+    return {
+        "form": q.as_json(),
+        "d": sc.discriminant,
+        "d_prime": sc.primitive_discriminant,
+        "m": sc.content,
+        "f": sc.conductor,
+        "f_prime": sc.primitive_conductor,
+        "d_K": sc.field_discriminant,
+        "n": report.classes_per_genus,
+        "h_upper": report.class_number_upper,
+        "parity_forced": report.parity_forced,
+        "exact_minimal_field": report.exact_minimal_field,
+        "model_field": {
+            "j_tau1_normalized": _value_json(report.j_tau1_normalized, args.precision),
+            "j_tau2_normalized": _value_json(report.j_tau2_normalized, args.precision),
+        },
+    }
+
+
+def _render_bounds(result, out):
+    print(
+        f"form {_form_str(result['form'])}: "
+        f"d = {result['d']} = {result['m']}^2 * ({result['d_prime']}), "
+        f"d_K = {result['d_K']}, f = {result['f']}",
+        file=out,
+    )
+    print(
+        f"  degree over K: divisible by n = {result['n']}, divides h(d) = {result['h_upper']}",
+        file=out,
+    )
+    print(f"  degree over Q forced even: {result['parity_forced']}", file=out)
+    if result["exact_minimal_field"]:
+        print(f"  exact minimal field: {result['exact_minimal_field']}", file=out)
+    field = result["model_field"]
+    print("  model over Q(j(tau1), j(tau2)) (inside K(j(tau2)))", file=out)
+    print(f"    j_n(tau1) = {_value_str(field['j_tau1_normalized'])}", file=out)
+    print(f"    j_n(tau2) = {_value_str(field['j_tau2_normalized'])}", file=out)
+
+
+def _run_factors(args, warnings):
+    from .k3 import kummer_reduction
+    from .lattices import lattice_from_form, sm_factors
+
+    q = _form(args)
+    pair = sm_factors(q)
+    lat = lattice_from_form(q)
+    result = {
+        "form": q.as_json(),
+        "d": pair.discriminant,
+        "tau1": _tau_json(pair.tau1),
+        "tau2": _tau_json(pair.tau2),
+        "tau1_lattice": lat.as_json(),
+    }
+    if args.kummer:
+        reduction = kummer_reduction(q)
+        if reduction is None:
+            result["kummer"] = None
+            warnings.append("form is not 2-divisible; no Kummer reduction")
+        else:
+            half, halved = reduction
+            result["kummer"] = {
+                "half_form": half.as_json(),
+                "tau1": _tau_json(halved.tau1),
+                "tau2": _tau_json(halved.tau2),
+                "d": halved.discriminant,
+            }
+    return result
+
+
+def _render_factors(result, out):
+    print(f"d = {result['d']}", file=out)
+    print(f"  tau1 = {_quad_str(result['tau1'])}", file=out)
+    print(f"  tau2 = {_quad_str(result['tau2'])}", file=out)
+    lat = result["tau1_lattice"]
+    print(
+        f"  tau1 lattice: class {_form_str(lat['canonical_form'])}, "
+        f"conductor {lat['conductor']}",
+        file=out,
+    )
+    km = result.get("kummer")
+    if km:
+        print(
+            f"  Kummer: half form {_form_str(km['half_form'])}, "
+            f"tau1 = {_quad_str(km['tau1'])}, tau2/2 = {_quad_str(km['tau2'])}",
+            file=out,
+        )
+
+
+def _run_equation(args, warnings):
+    from .k3 import inose_pencil, kummer_equation
+    from .modular import _digits_to_bits
+
+    q = _form(args)
+    prec = _digits_to_bits(args.precision)
+    model = kummer_equation(q, prec) if args.kummer else inose_pencil(q, prec)
+    a, b = _value_json(model.A, args.precision), _value_json(model.B, args.precision)
+    if a["type"] != "rational" or b["type"] != "rational":
+        warnings.append(
+            f"A and B are not proven rational; emitted numerically at {args.precision} digits"
+        )
+    return {
+        "form": q.as_json(),
+        "kind": model.kind,
+        "A": a,
+        "B": b,
+        "degenerate_rule_applied": model.degenerate_rule_applied,
+        "equation": model.equation(),
+        "a4": {str(k): _value_json(v, args.precision) for k, v in sorted(model.a4_polynomial().items())},
+        "a6": {str(k): _value_json(v, args.precision) for k, v in sorted(model.a6_polynomial().items())},
+    }
+
+
+def _render_equation(result, out):
+    print(result["equation"], file=out)
+    print(f"  A = {_value_str(result['A'])}", file=out)
+    print(f"  B = {_value_str(result['B'])}", file=out)
+    if result["degenerate_rule_applied"]:
+        print("  (degenerate substitution rule applied)", file=out)
 
 
 def _run_classpoly(args, warnings):
@@ -271,6 +444,9 @@ def _render_classpoly(result, out):
 
 
 def _run_scan(args, warnings):
+    from .classgroup import class_number, distinct_fields, fundamental_data
+    from .classgroup import scan_one_class_per_genus
+
     hits = scan_one_class_per_genus(args.bound)
     fields = distinct_fields(hits)
     warnings.append(_SCAN_CAVEAT)
@@ -299,22 +475,16 @@ def _render_scan(result, out):
     print("  " + " ".join(str(r["d"]) for r in result["records"]), file=out)
 
 
-# verb -> (compute the JSON result, print it as text); bounds, factors and
-# equation are in _numeric_verbs, which is compiled only when one of them runs
+# verb -> (compute the JSON result, print it as text)
 _VERBS = {
     "classgroup": (_run_classgroup, _render_classgroup),
     "genus": (_run_genus, _render_genus),
+    "bounds": (_run_bounds, _render_bounds),
+    "factors": (_run_factors, _render_factors),
+    "equation": (_run_equation, _render_equation),
     "classpoly": (_run_classpoly, _render_classpoly),
     "scan": (_run_scan, _render_scan),
 }
-
-
-def _verb(name: str):
-    if name in _VERBS:
-        return _VERBS[name]
-    from ._numeric_verbs import VERBS
-
-    return VERBS[name]
 
 
 def run(argv: list[str], out=None) -> int:
@@ -324,7 +494,7 @@ def run(argv: list[str], out=None) -> int:
         args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    compute, render = _verb(args.verb)
+    compute, render = _VERBS[args.verb]
     warnings: list[str] = []
     try:
         result = compute(args, warnings)

@@ -245,11 +245,6 @@ def form_sort_key(f: Form) -> tuple[int, int, bool, int]:
     return (a, abs(b), b < 0, c)
 
 
-def _form_str(obj: dict) -> str:
-    # as_json's object as the command line prints a form, "(a,b,c)"
-    return f"({obj['a']},{obj['b']},{obj['c']})"
-
-
 def principal_form(d: int) -> Form:
     """The reduced principal form: identity of Cl(d)."""
     check_discriminant(d)

@@ -116,7 +116,9 @@ def lem_bounds_applies(d: int, m: int) -> bool:
     conductor m (or m/2) over O_d' keeps h(d').  By the class number formula
     (Cox, Primes of the Form x^2 + ny^2, Thm. 7.24) conductor k keeps it only
     for k = 1, k = 2 with d' = 1 (mod 8) or d' in {-3, -4}, and k = 3 with
-    d' = -3.  So the answer takes one factorization of d', and no class group.
+    d' = -3.  When 8 | d', a 2-adic character is assigned, so Cl(d') is one
+    genus only for d' in {-8, -16}, where -d' has no odd prime.  So the answer
+    takes at most one factorization of d', and no class group.
     """
     check_discriminant(d)
     if m < 1 or d % (m * m) != 0:
@@ -128,6 +130,8 @@ def lem_bounds_applies(d: int, m: int) -> bool:
         raise InconsistentPair(f"d/m^2 = {_shown_int(d_prime)} is not a discriminant")
     keeps_h = m <= 2 or (m == 4 and (d_prime % 8 == 1 or d_prime in (-3, -4)))
     keeps_h = keeps_h or (m in (3, 6) and d_prime == -3)
+    if d_prime % 8 == 0:
+        return keeps_h and d_prime in (-8, -16)
     return keeps_h and len(genus_characters(principal_form(d_prime))) == 1
 
 

@@ -92,6 +92,68 @@ def test_factors_text(capsys):
     ]
 
 
+NUMERIC_WARNING = "warning: A and B are not proven rational; emitted numerically at 12 digits\n"
+# (command line, stdout, stderr) of every verb's text output, each exiting 0:
+# rational and numeric values, the degenerate rule, and each warning
+FROZEN_TEXT = (
+    (["equation", "--form", "2,0,2"],
+     "y^2 = x^3 - (3993/8)*t^4*x + (1331/8)*t^5*(t^2 + 1)\n  A = 1331/8\n  B = 0\n"
+     "  (degenerate substitution rule applied)\n", ""),
+    (["equation", "--form", "1,1,1"],
+     "y^2 = x^3 + t^5*(t^2 - 2*t + 1)\n  A = 0\n  B = 1\n"
+     "  (degenerate substitution rule applied)\n", ""),
+    (["equation", "--form", "1,0,1", "--kummer"],
+     "y^2 = x^3 - 3*t^4*x + t^4*(t^4 + 1)\n  A = 1\n  B = 0\n"
+     "  (degenerate substitution rule applied)\n", ""),
+    (["equation", "--form", "5,5,5", "--precision", "12"],
+     "y^2 = x^3 + B*t^5*(B*t^2 - 2*B*t + 1)\n  A = 0\n  B = 378705916.393 + 0.0*i\n"
+     "  (degenerate substitution rule applied)\n", NUMERIC_WARNING),
+    (["equation", "--form", "2,1,3", "--precision", "12"],
+     "y^2 = x^3 - 3*A*B*t^4*x + A*B*t^5*(B*t^2 - 2*B*t + 1)\n"
+     "  A = -863.191674908 - 2063.68027812*i\n  B = 1158.92397902 - 2064.70112242*i\n",
+     NUMERIC_WARNING),
+    (["bounds", "--form", "2,1,3", "--precision", "12"],
+     "form (2,1,3): d = -23 = 1^2 * (-23), d_K = -23, f = 1\n"
+     "  degree over K: divisible by n = 3, divides h(d) = 3\n"
+     "  degree over Q forced even: True\n  exact minimal field: K(j(tau1))\n"
+     "  model over Q(j(tau1), j(tau2)) (inside K(j(tau2)))\n"
+     "    j_n(tau1) = 0.426996519078 + 1.02084429318*i\n"
+     "    j_n(tau2) = -2021.54265045 + 0.0*i\n", ""),
+    (["factors", "--form", "4,0,4", "--kummer"],
+     "d = -64\n  tau1 = (0 + 1/2*sqrt(-4))\n  tau2 = (0 + 2*sqrt(-4))\n"
+     "  tau1 lattice: class (1,0,1), conductor 1\n"
+     "  Kummer: half form (2,0,2), tau1 = (0 + 1/2*sqrt(-4)), tau2/2 = (0 + 1*sqrt(-4))\n", ""),
+    (["factors", "--form", "2,1,3", "--kummer"],
+     "d = -23\n  tau1 = (-1/4 + 1/4*sqrt(-23))\n  tau2 = (1/2 + 1/2*sqrt(-23))\n"
+     "  tau1 lattice: class (2,1,3), conductor 1\n",
+     "warning: form is not 2-divisible; no Kummer reduction\n"),
+    (["classgroup", "-23"],
+     "Cl(-23): h = 3\n  (1,1,6)\n  (2,1,3)\n  (2,-1,3)\ncyclic decomposition: Z/3\n", ""),
+    (["genus", "-56"],
+     "Cl(-56): h = 4, genera g = 2, classes per genus n = 2\n"
+     "  genus 0 (principal): (1,0,14) (2,0,7)\n  genus 1: (3,2,5) (3,-2,5)\n", ""),
+    (["classpoly", "-23"],
+     "H_-23(x), degree 3:\n"
+     "  coefficients (constant first): 12771880859375 -5151296875 3491750 1\n"
+     "  certified at 64 bits, error < 2^-16\n", ""),
+    (["scan", "--bound", "100"],
+     "one class per genus, |d| <= 100: 32 discriminants, 18 fields, largest -100\n"
+     "  -3 -4 -7 -8 -11 -12 -15 -16 -19 -20 -24 -27 -28 -32 -35 -36 -40 -43 -48 -51"
+     " -52 -60 -64 -67 -72 -75 -84 -88 -91 -96 -99 -100\n",
+     "warning: the scan bound is a search cutoff, not a completeness proof: classically"
+     " at most one further qualifying discriminant (of very large absolute value)"
+     " could exist beyond any bound\n"),
+)
+
+
+def test_every_verb_prints_its_frozen_text(capsys, monkeypatch):
+    for name in ("SINGK3_PRECISION", "SINGK3_BOUND", "SINGK3_JSON", "SINGK3_KUMMER"):
+        monkeypatch.delenv(name, raising=False)
+    for argv, out, err in FROZEN_TEXT:
+        assert cli.run(argv) == 0, argv
+        assert capsys.readouterr() == (out, err), argv
+
+
 def test_bounds_verb(capsys):
     res = run_json(capsys, ["bounds", "--form", "2,1,3"])["result"]
     assert res["n"] == 3
@@ -121,7 +183,7 @@ def test_factors_not_divisible_warns(capsys):
 
 
 def test_factors_json_matches_the_fraction_oracle_to_400(monkeypatch):
-    from singk3 import _numeric_verbs
+    from singk3 import lattices
 
     argvs = [
         ["factors", "--form", str(q), "--json", *kummer]
@@ -136,7 +198,7 @@ def test_factors_json_matches_the_fraction_oracle_to_400(monkeypatch):
             yield out.getvalue()
 
     printed = list(outputs())
-    monkeypatch.setattr(_numeric_verbs, "lattice_from_form", fraction_lattice_from_form)
+    monkeypatch.setattr(lattices, "lattice_from_form", fraction_lattice_from_form)
     assert list(outputs()) == printed
 
 
@@ -465,9 +527,7 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
-NUMERIC_LAYERS = (
-    "mpmath", "singk3._numeric_verbs", "singk3.k3", "singk3.lattices", "singk3.modular"
-)
+NUMERIC_LAYERS = ("mpmath", "singk3.k3", "singk3.lattices", "singk3.modular")
 # dataclasses and what it imports, about 10 ms of start-up
 INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
@@ -490,7 +550,14 @@ def modules_left_loaded(argv, modules=NUMERIC_LAYERS, flags=(), imports=()) -> s
 
 def test_class_group_verbs_load_no_numeric_layer():
     for argv in (["classgroup", "-23"], ["genus", "-56"], ["scan", "--bound", "100"], ["--version"]):
-        assert modules_left_loaded(argv) == "[]", argv
+        assert modules_left_loaded(argv, (*NUMERIC_LAYERS, "fractions")) == "[]", argv
+
+
+def test_version_and_a_usage_error_load_no_math_layer():
+    # each verb imports its layers when it runs, so neither reaches one
+    for argv in (["--version"], ["classgroup", "-23_0"]):
+        loaded = modules_left_loaded(argv, ("singk3.classgroup", "singk3._factor", "fractions"))
+        assert loaded == "[]", argv
 
 
 def test_classpoly_loads_neither_k3_nor_lattices():
@@ -501,7 +568,7 @@ def test_only_a_computed_value_loads_mpmath():
     # modular imports mpmath when it computes or prints a value, and no other
     # module imports it: factors and the surface layer's import run without it
     factors = modules_left_loaded(["factors", "--form", "4,0,4", "--kummer"])
-    assert factors == "['singk3._numeric_verbs', 'singk3.k3', 'singk3.lattices', 'singk3.modular']"
+    assert factors == "['singk3.k3', 'singk3.lattices', 'singk3.modular']"
     assert modules_left_loaded(None, ("mpmath",), imports=("singk3.k3",)) == "[]"
     assert modules_left_loaded(["bounds", "--form", "1,1,1"], ("mpmath",)) == "['mpmath']"
 
@@ -635,7 +702,7 @@ def test_a_typed_flag_beats_its_variable(capsys, monkeypatch):
 def test_one_default_precision(capsys, monkeypatch):
     from mpmath.libmp import dps_to_prec
 
-    from singk3 import _numeric_verbs
+    from singk3 import k3
     from singk3.k3 import analyze
 
     digits = modular._DEFAULT_DIGITS
@@ -645,15 +712,15 @@ def test_one_default_precision(capsys, monkeypatch):
     # an unset --precision computes at the library's default bits ...
     bits = []
     monkeypatch.delenv("SINGK3_PRECISION", raising=False)
-    monkeypatch.setattr(_numeric_verbs, "analyze", lambda q, b: bits.append(b) or analyze(q, b))
+    monkeypatch.setattr(k3, "analyze", lambda q, b: bits.append(b) or analyze(q, b))
     for q in (Form(2, 1, 3), Form(4, 0, 4), Form(3, 2, 7)):
         env = run_json(capsys, ["bounds", "--form", str(q)])
         assert env["command"]["arguments"]["precision"] == digits
         # ... so the library's default report prints as the command's
         report = analyze(q)
         assert env["result"]["model_field"] == {
-            "j_tau1_normalized": _numeric_verbs._value_json(report.j_tau1_normalized, digits),
-            "j_tau2_normalized": _numeric_verbs._value_json(report.j_tau2_normalized, digits),
+            "j_tau1_normalized": cli._value_json(report.j_tau1_normalized, digits),
+            "j_tau2_normalized": cli._value_json(report.j_tau2_normalized, digits),
         }, q
     assert bits == [modular.DEFAULT_PRECISION_BITS] * 3
 
@@ -670,7 +737,7 @@ def test_digits_and_bits_convert_as_mpmath_does():
 
 
 def test_usage_errors_share_one_base_class(capsys, monkeypatch):
-    from singk3 import errors
+    from singk3 import classgroup, errors
 
     usage = {"ParseError", "NotPositiveDefinite", "NotNegativeDiscriminant",
              "InvalidDiscriminant", "InputTooLarge"}
@@ -681,7 +748,7 @@ def test_usage_errors_share_one_base_class(capsys, monkeypatch):
     def boom(d):  # the command line exits 2 on the base class itself
         raise errors.InputError("bad input")
 
-    monkeypatch.setattr(cli, "class_group", boom)
+    monkeypatch.setattr(classgroup, "class_group", boom)
     assert cli.run(["classgroup", "-23"]) == 2
     assert capsys.readouterr().err == "error: bad input\n"
 

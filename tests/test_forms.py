@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,22 @@ def test_integer_reads_ascii_decimal_text_only():
         with pytest.raises(ParseError):
             integer(text)
     assert issubclass(ParseError, ValueError)  # argparse reports it as a bad value
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="the digit limit came in Python 3.11"
+)
+def test_a_lower_interpreter_digit_limit_is_named_in_the_error():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        with pytest.raises(ParseError) as caught:
+            integer("1" * 2000)
+        assert str(caught.value) == "integers are limited to 1000 digits, got 2000"
+        with pytest.raises(ParseError):
+            Form.from_text(f"1,1,{'1' * 2000}")
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_text_and_json_refuse_what_integer_refuses():

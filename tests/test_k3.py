@@ -151,6 +151,14 @@ def test_lem_bounds_applies_exactly_where_the_degree_bounds_meet():
     assert pairs == 16270
 
 
+def test_lem_bounds_decides_eight_dividing_d_prime_without_factoring():
+    # -d' = 8 or 32 times two primes past the trial-division bound: a 2-adic
+    # character and an odd one, so two genera, answered without factoring
+    big = 1000003 * 1000033
+    for d, m in ((-8 * big, 1), (-32 * big, 1), (-32 * big, 2)):
+        assert not lem_bounds_applies(d, m), (d, m)
+
+
 def test_lem_bounds_minus_12():
     # Cl(-12) is one genus (one assigned character, at 3)
     assert lem_bounds_applies(-12, 1)
